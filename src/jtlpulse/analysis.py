@@ -8,13 +8,12 @@ by the record or sequence duration turns energies into powers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import Trajectory
+from .solver import Trajectory, _write_csv
 
 
 class AnalysisError(RuntimeError):
@@ -42,14 +41,8 @@ class SpectrumResult:
     def has_peak(self) -> bool:
         return self.f0 is not None
 
-    def to_json(self) -> str:
-        return json.dumps({"f0": self.f0, "fwhm": self.fwhm})
-
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("freq,psd\n")
-            for f, p in zip(self.freqs, self.psd):
-                fh.write(f"{float(f)!r},{float(p)!r}\n")
+        _write_csv(path, ["freq", "psd"], [self.freqs, self.psd])
 
 
 @dataclass(frozen=True)
@@ -61,17 +54,6 @@ class PowerReport:
     eta: float               # e_out_fwd / e_in_fwd
     avg_input_power: float   # e_in_fwd / sequence duration, W
     band_power_dbm: float | None  # load power within [f0 +- fwhm/2], dBm
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "e_in_fwd": self.e_in_fwd,
-                "e_out_fwd": self.e_out_fwd,
-                "eta": self.eta,
-                "avg_input_power": self.avg_input_power,
-                "band_power_dbm": self.band_power_dbm,
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -240,10 +222,12 @@ def breather_fit(
 ) -> BreatherFit:
     """Fit the post-drive ring-down at ``cell`` to A exp(-t/tau) cos(2 pi f t).
 
-    Envelope peaks of |v| are picked above ``peak_floor`` of the segment
-    maximum, the frequency comes from their mean spacing (peaks occur each
-    half period) and the decay time from a least-squares line through the
-    log peaks.  Raises InsufficientDataError below four peaks.
+    Envelope peaks are one per half-cycle, the largest |v| between
+    consecutive sign changes of v, kept above ``peak_floor`` of the segment
+    maximum; ripple within a half-cycle therefore adds no peaks.  The
+    frequency comes from their mean spacing (peaks occur each half period)
+    and the decay time from a least-squares line through the log peaks.
+    Raises InsufficientDataError below four peaks.
     """
     if t_start is None:
         t_start = trajectory.drive_end
@@ -252,12 +236,16 @@ def breather_fit(
     if sel.sum() < 8:
         raise InsufficientDataError("ring-down segment too short")
     t = times[sel]
-    x = np.abs(trajectory.v[cell][sel])
+    v = trajectory.v[cell][sel]
+    x = np.abs(v)
     scale = float(np.max(x))
     if scale <= 0.0:
         raise InsufficientDataError("ring-down record is identically zero")
-    interior = (x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:]) & (x[1:-1] > peak_floor * scale)
-    idx = np.nonzero(interior)[0] + 1
+    flips = np.nonzero(np.signbit(v[1:]) != np.signbit(v[:-1]))[0] + 1
+    idx = np.array(
+        [a + int(np.argmax(x[a:b])) for a, b in zip(flips, flips[1:])], dtype=int
+    )
+    idx = idx[x[idx] > peak_floor * scale]
     if idx.size < 4:
         raise InsufficientDataError(
             f"only {idx.size} envelope peaks above threshold; need >= 4"

@@ -158,19 +158,25 @@ def solve_geometry(
     alpha_out: float,
     n_jtl: int,
     r_n: float = DEFAULT_R_N,
+    *,
+    l: float | None = None,
+    c_j: float | None = None,
 ) -> CircuitParams:
     """Build a circuit hitting target (lambda_j, omega_p, alpha_in, alpha_out).
 
     Solve order: l_j from i_c, then c_j = 1/(omega_p^2 l_j), then
     l = l_j / lambda_j^2, then the terminations from z_jtl and the impedance
     ratios.  This reproduces the reference (i_c, l, c_j) triples to four
-    significant figures.
+    significant figures.  A literal ``l`` or ``c_j`` (a printed table row)
+    replaces the solved value, and the matching target is then unused.
     """
     if lambda_j <= 0 or omega_p <= 0 or alpha_in <= 0 or alpha_out <= 0:
         raise ParameterError("geometry targets must be strictly positive")
     l_j = PHI0 / (2.0 * math.pi * i_c)
-    c_j = 1.0 / (omega_p**2 * l_j)
-    l = l_j / lambda_j**2
+    if c_j is None:
+        c_j = 1.0 / (omega_p**2 * l_j)
+    if l is None:
+        l = l_j / lambda_j**2
     z_jtl = math.sqrt(l / c_j)
     return CircuitParams(
         i_c=i_c,

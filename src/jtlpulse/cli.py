@@ -10,13 +10,23 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import math
 import sys
+import types
+import typing
+from collections.abc import Sequence
 
 from .circuit import CircuitParams, ParameterError, derive
 from .solver import SolverError
 from .analysis import AnalysisError
-from .experiments import SCENARIO_IDS, ScenarioError, ScenarioSpec, run_scenario
+from .experiments import (
+    SCENARIO_IDS,
+    ScenarioError,
+    ScenarioSpec,
+    run_scenario,
+    scenario_parameters,
+)
 
 
 class ConfigError(ValueError):
@@ -43,66 +53,86 @@ def eng(value: float, unit: str = "") -> str:
     return f"{value / scale:.6g} {prefix}{unit}".rstrip()
 
 
-_FLOAT_KEYS = {
-    "circuit": {"i_c", "c_j", "l", "r_n", "z_in", "z_out"},
-    "drive": {"theta_peak", "sigma", "width", "spacing"},
-    "solver": {},
-    "scenario": {"i_c", "omega_p", "alpha_in", "alpha_out", "f_plasma",
-                 "lambda_j", "v_tilde", "damping_quality", "r_n",
-                 "theta_peak", "width"},
+_SECTIONS = ("circuit", "drive", "solver", "scenario")
+# [drive] and [solver] keys, each with the runner parameter it sets; a
+# [scenario] key is the runner parameter of the same name.
+_SECTION_PARAMS = {
+    "drive": {"protocol": "shape", "n_pairs": "n_pairs",
+              "spacing_multiple": "spacing_multiple", "theta_peak": "theta_peak",
+              "sigma": "sigma", "width": "width"},
+    "solver": {"dt_divisor": "dt_divisor"},
 }
-_INT_KEYS = {
-    "circuit": {"n_jtl"},
-    "drive": {"n_pairs", "spacing_multiple"},
-    "solver": {"dt_divisor"},
-    "scenario": {"n_pairs", "n_jtl", "spacing_multiple", "jobs"},
-}
-_STR_KEYS = {
-    "drive": {"protocol"},
-    "scenario": {"id", "protocol", "drive_model", "shape"},
-}
-_LIST_KEYS = {
-    "scenario": {"alpha_out_grid", "i_c_grid", "omega_p_grid", "n_pairs_list"},
-}
+# Grid spellings of list-valued runner parameters.
+_GRID_ALIASES = {"alpha_out_grid": "alpha_out"}
 
 
-def _parse_section(cfg: configparser.ConfigParser, section: str) -> dict:
-    out: dict = {}
-    if not cfg.has_section(section):
-        return out
-    floats = _FLOAT_KEYS.get(section, set())
-    ints = _INT_KEYS.get(section, set())
-    strs = _STR_KEYS.get(section, set())
-    lists = _LIST_KEYS.get(section, set())
-    for key, raw in cfg.items(section):
-        if key in floats:
-            convert = float
-        elif key in ints:
-            convert = int
-        elif key in strs:
-            convert = str.strip
-        elif key in lists:
-            convert = lambda s: [float(x) for x in s.replace(",", " ").split()]
-        else:
-            raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        try:
-            out[key] = convert(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r} in [{section}]: {raw!r}") from exc
+def _floats(raw: str) -> list[float]:
+    return [float(x) for x in raw.replace(",", " ").split()]
+
+
+def _reader(annotation):
+    """INI reader for a parameter of this type, None if INI cannot spell it."""
+    if isinstance(annotation, types.UnionType):  # X | None
+        (annotation,) = set(typing.get_args(annotation)) - {type(None)}
+    if typing.get_origin(annotation) is Sequence:
+        return _floats
+    return {float: float, int: int, str: str.strip}.get(annotation)
+
+
+def _spellings(sid: str | None) -> dict:
+    """Section -> {INI key: (parameter, reader)} under scenario ``sid``."""
+    circuit = inspect.signature(CircuitParams, eval_str=True).parameters
+    out = {"circuit": {k: (k, _reader(p.annotation)) for k, p in circuit.items()}}
+    params = {k: _reader(a) for k, a in scenario_parameters(sid).items()} if sid else {}
+    for section, keys in _SECTION_PARAMS.items():
+        out[section] = {key: (name, params.get(name)) for key, name in keys.items()}
+    out["scenario"] = {k: (k, reader) for k, reader in params.items()}
+    out["scenario"]["id"] = ("id", str.strip)
+    for alias, name in _GRID_ALIASES.items():
+        if params.get(name) is _floats:
+            out["scenario"][alias] = (name, _floats)
     return out
 
 
-def load_config(path: str) -> dict:
-    """Parse and validate a config file into per-section dicts."""
+def load_config(path: str, scenario: str | None = None) -> dict:
+    """Parse a config file into per-section dicts of typed parameters.
+
+    [drive], [solver] and [scenario] keys must set parameters of the runner
+    of ``scenario`` (default: the file's [scenario] id) and are stored under
+    those parameter names; any other key is an error.
+    """
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cfg.read(path)
+    try:
+        read = cfg.read(path)
+    except configparser.Error as exc:  # duplicate key, missing header, ...
+        raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    known = {"circuit", "drive", "solver", "scenario"}
-    unknown = set(cfg.sections()) - known
+    unknown = set(cfg.sections()) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    return {section: _parse_section(cfg, section) for section in known}
+    sid = scenario or cfg.get("scenario", "id", fallback=None)
+    if sid is not None and sid not in SCENARIO_IDS:
+        raise ConfigError(
+            f"unknown scenario id {sid!r}; valid ids: {', '.join(SCENARIO_IDS)}"
+        )
+    spellings = _spellings(sid)
+    conf: dict = {section: {} for section in _SECTIONS}
+    for section in cfg.sections():
+        for key, raw in cfg.items(section):
+            name, reader = spellings[section].get(key, (key, None))
+            if reader is None:
+                scope = "" if section == "circuit" else f" for scenario {sid!r}"
+                raise ConfigError(f"unknown key {key!r} in section [{section}]{scope}")
+            if name in conf[section]:
+                raise ConfigError(f"{key!r} in [{section}] sets {name!r} twice")
+            try:
+                conf[section][name] = reader(raw)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"bad value for {key!r} in [{section}]: {raw!r}"
+                ) from exc
+    return conf
 
 
 def circuit_from_config(conf: dict) -> CircuitParams:
@@ -138,86 +168,24 @@ def cmd_derive(args) -> int:
 
 def cmd_validate(args) -> int:
     conf = load_config(args.config)
-    if conf.get("circuit"):
+    if conf["circuit"]:
         circuit_from_config(conf)
-    scenario = conf.get("scenario", {})
-    if scenario:
-        sid = scenario.get("id")
-        if sid not in SCENARIO_IDS:
-            raise ConfigError(
-                f"unknown scenario id {sid!r}; valid ids: {', '.join(SCENARIO_IDS)}"
-            )
     print("configuration ok")
     return 0
 
 
-def _scenario_overrides(conf: dict, args) -> tuple[str, dict]:
-    scenario = dict(conf.get("scenario", {}))
-    sid = args.scenario or scenario.pop("id", None)
-    scenario.pop("id", None)
+def cmd_run(args) -> int:
+    conf = load_config(args.config, args.scenario)
+    overrides = {**conf["drive"], **conf["solver"], **conf["scenario"]}
+    sid = args.scenario or overrides.get("id")
+    overrides.pop("id", None)
     if sid is None:
         raise ConfigError("no scenario id given (use --scenario or [scenario] id)")
-    if sid not in SCENARIO_IDS:
-        raise ConfigError(
-            f"unknown scenario id {sid!r}; valid ids: {', '.join(SCENARIO_IDS)}"
-        )
-    overrides = {}
-    drive = conf.get("drive", {})
-    if sid in ("flat_top", "gaussian", "bandwidth_sweep"):
-        if "protocol" in drive and sid != "bandwidth_sweep":
-            overrides["shape"] = drive["protocol"]
-        for key in ("n_pairs", "spacing_multiple", "theta_peak", "sigma", "width"):
-            if key in drive and not (sid == "bandwidth_sweep" and key == "n_pairs"):
-                overrides[key] = drive[key]
-    elif drive:
-        raise ConfigError(
-            f"[drive] section does not apply to scenario {sid!r}"
-        )
-    jobs = scenario.pop("jobs", None)
-    allowed = {
-        "single_fluxon": {"alpha_out_grid", "i_c", "f_plasma", "lambda_j",
-                          "v_tilde", "alpha_in", "damping_quality", "n_jtl"},
-        "alpha_sweep": {"alpha_out_grid", "i_c", "f_plasma", "lambda_j",
-                        "v_tilde", "alpha_in", "damping_quality", "n_jtl"},
-        "flat_top": {"i_c", "omega_p", "n_pairs", "alpha_in", "alpha_out",
-                     "r_n", "theta_peak", "width", "spacing_multiple",
-                     "lambda_j", "n_jtl", "drive_model", "shape"},
-        "gaussian": {"i_c", "omega_p", "n_pairs", "alpha_in", "alpha_out",
-                     "r_n", "theta_peak", "width", "spacing_multiple",
-                     "lambda_j", "n_jtl", "drive_model", "shape"},
-        "bandwidth_sweep": {"n_pairs_list", "i_c", "f_plasma", "lambda_j",
-                            "alpha_in", "alpha_out", "r_n", "width",
-                            "spacing_multiple"},
-        "efficiency_map": {"i_c_grid", "omega_p_grid", "protocol",
-                           "alpha_in", "damping_quality"},
-        "table1": set(),
-    }[sid]
-    bad = set(scenario) - allowed
-    if bad:
-        raise ConfigError(
-            f"keys {sorted(bad)} are not valid for scenario {sid!r}"
-        )
-    if "alpha_out_grid" in scenario:
-        scenario["alpha_out"] = scenario.pop("alpha_out_grid")
-    overrides.update(scenario)
-    solver = conf.get("solver", {})
     if args.dt_divisor is not None:
         overrides["dt_divisor"] = args.dt_divisor
-    elif "dt_divisor" in solver:
-        overrides["dt_divisor"] = solver["dt_divisor"]
-    if args.jobs is not None:
-        jobs = args.jobs
-    overrides["_jobs"] = jobs
-    return sid, overrides
-
-
-def cmd_run(args) -> int:
-    conf = load_config(args.config)
-    sid, overrides = _scenario_overrides(conf, args)
-    jobs = overrides.pop("_jobs", None)
     spec = ScenarioSpec(scenario=sid, overrides=overrides, outdir=args.out)
     try:
-        report = run_scenario(spec, jobs=jobs)
+        report = run_scenario(spec, jobs=args.jobs)
     except (ScenarioError, ParameterError) as exc:
         raise ConfigError(str(exc)) from exc
     except (SolverError, AnalysisError) as exc:

@@ -20,17 +20,27 @@ characteristic impedance sqrt(l_j/c_j)).
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
 import warnings
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .circuit import DEFAULT_R_N, PHI0, CircuitParams, DerivedParams, derive
+from .circuit import (
+    DEFAULT_R_N,
+    PHI0,
+    CircuitParams,
+    DerivedParams,
+    derive,
+    solve_geometry,
+)
 from .pulses import (
     PhaseEnvelope,
     PulseTrain,
@@ -57,16 +67,6 @@ from .analysis import (
 # line-junction default, so the sech time constant is l_j / R_SFQ.
 R_SFQ = 2.0 * math.pi * DEFAULT_R_N
 
-SCENARIO_IDS = (
-    "single_fluxon",
-    "alpha_sweep",
-    "gaussian",
-    "flat_top",
-    "bandwidth_sweep",
-    "efficiency_map",
-    "table1",
-)
-
 
 class ScenarioError(ValueError):
     """Bad scenario identifier or scenario parameters."""
@@ -81,7 +81,7 @@ class ScenarioSpec:
     outdir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIO_IDS:
+        if self.scenario not in SCENARIOS:
             raise ScenarioError(
                 f"unknown scenario {self.scenario!r}; valid ids: "
                 + ", ".join(SCENARIO_IDS)
@@ -104,15 +104,12 @@ class RunResult:
     notes: str = ""
 
     def summary(self) -> dict:
-        out = {"config": self.config, "f0": self.f0, "fwhm": self.fwhm,
-               "eta": self.eta, "regime": self.regime, "notes": self.notes}
-        if self.power is not None:
-            out["power"] = json.loads(self.power.to_json())
-        if self.fit is not None:
-            out["fit"] = asdict(self.fit)
-        if self.passed is not None:
-            out["passed"] = self.passed
-        return out
+        return asdict(self, dict_factory=_summary_fields)
+
+
+def _summary_fields(items: list[tuple[str, object]]) -> dict:
+    """asdict factory for summaries: spectra go to their own CSV files."""
+    return {key: value for key, value in items if key != "spectrum"}
 
 
 @dataclass(frozen=True)
@@ -124,14 +121,7 @@ class ScenarioReport:
     provenance: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "scenario": self.scenario,
-                "provenance": self.provenance,
-                "runs": [r.summary() for r in self.runs],
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self, dict_factory=_summary_fields), indent=2)
 
     def write_outputs(self, outdir) -> list[str]:
         """Write summary JSON plus per-run spectrum CSVs; returns paths."""
@@ -171,30 +161,15 @@ def _jtl_length(lambda_j: float) -> int:
     return int(min(5, max(4, round(1.66 * lambda_j))))
 
 
-def _build_circuit(
-    i_c: float,
-    omega_p: float,
-    lambda_j: float,
-    alpha_in: float,
-    alpha_out: float,
-    n_jtl: int,
-    r_n: float,
-    l: float | None = None,
-    c_j: float | None = None,
-) -> CircuitParams:
-    """Geometry solve (or literal l, c_j) with the termination ratios."""
-    l_j = PHI0 / (2.0 * math.pi * i_c)
-    if c_j is None:
-        c_j = 1.0 / (omega_p**2 * l_j)
-    if l is None:
-        l = l_j / lambda_j**2
-    z_jtl = math.sqrt(l / c_j)
+@contextmanager
+def _expected_notices():
+    """Silence the two notices scenarios raise by design: unshunted line
+    junctions are underdamped, and dense trains overlap adjacent pulses.
+    Used as a decorator on the runners that build circuits and trains."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # underdamped notice is expected here
-        return CircuitParams(
-            i_c=i_c, c_j=c_j, l=l, z_in=z_jtl / alpha_in,
-            z_out=z_jtl / alpha_out, r_n=r_n, n_jtl=n_jtl,
-        )
+        warnings.filterwarnings("ignore", r"beta_c = .* junctions are underdamped")
+        warnings.filterwarnings("ignore", r"pulse spacing .* adjacent pulses overlap")
+        yield
 
 
 def _simulate_settled(
@@ -223,11 +198,7 @@ def _simulate_settled(
     for _ in range(max_extensions + 1):
         traj = simulate(circuit, drive, t_end, dt)
         if not isinstance(drive, PulseTrain):
-            traj = Trajectory(
-                times=traj.times, phi=traj.phi, v=traj.v,
-                v_source=traj.v_source, circuit=traj.circuit,
-                derived=traj.derived, drive_end=train.duration,
-            )
+            traj = replace(traj, drive_end=train.duration)
         e_in = forward_energy(traj.v_node1, traj.i_in, circuit.z_in, traj.times)
         residual = float(traj.stored_energy()[-1])
         if e_in <= 0.0 or residual <= residual_frac * e_in:
@@ -265,12 +236,13 @@ def _measure_train_run(
     return spectrum, report
 
 
+@_expected_notices()
 def run_fluxoid_train(
     i_c: float,
     omega_p: float,
     n_pairs: int,
-    *,
     shape: str = "flat_top",
+    *,
     lambda_j: float = 3.17,
     theta_peak: float = math.pi,
     sigma: float | None = None,
@@ -298,8 +270,8 @@ def run_fluxoid_train(
         raise ScenarioError(f"n_pairs must be >= 1, got {n_pairs}")
     if n_jtl is None:
         n_jtl = _jtl_length(lambda_j)
-    circuit = _build_circuit(
-        i_c, omega_p, lambda_j, alpha_in, alpha_out, n_jtl, r_n, l=l, c_j=c_j
+    circuit = solve_geometry(
+        i_c, lambda_j, omega_p, alpha_in, alpha_out, n_jtl, r_n, l=l, c_j=c_j
     )
     derived = derive(circuit)
     if width is None:
@@ -312,9 +284,7 @@ def run_fluxoid_train(
         envelope = PhaseEnvelope.gaussian(m, peak=theta_peak, sigma=sigma)
     else:
         raise ScenarioError(f"unknown train shape {shape!r}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # overlapping pulses are intentional
-        train = compile_envelope(envelope, spacing, width, t_start=5.0 * width)
+    train = compile_envelope(envelope, spacing, width, t_start=5.0 * width)
     seq_duration = (m + 1) * spacing
     t_tail0 = 30.0 * 2.0 * math.pi / derived.omega_p
     traj = _simulate_settled(
@@ -341,12 +311,15 @@ def run_fluxoid_train(
     )
 
 
-def run_flat_top(i_c: float, omega_p: float, n_pairs: int = 50, **kwargs) -> RunResult:
+def run_flat_top(
+    i_c: float = 4e-6,
+    omega_p: float = 2.0 * math.pi * 19.617e9,
+    n_pairs: int = 50,
+    shape: str = "flat_top",
+    **kwargs,
+) -> RunResult:
     """Flat-top train: uniform pi extrema, half-area end pulses."""
-    kwargs.setdefault("shape", "flat_top")
-    kwargs.setdefault("lambda_j", 3.17)
-    kwargs.setdefault("theta_peak", math.pi)
-    return run_fluxoid_train(i_c, omega_p, n_pairs, **kwargs)
+    return run_fluxoid_train(i_c, omega_p, n_pairs, shape, **kwargs)
 
 
 # Gaussian drive conventions.  The reference states neither the envelope's
@@ -359,17 +332,23 @@ GAUSSIAN_ALPHA_IN = 7.0
 GAUSSIAN_PEAK_THETA = 8.0 * math.pi * math.sqrt(5.0 / GAUSSIAN_ALPHA_IN)
 
 
-def run_gaussian(i_c: float, omega_p: float, n_pairs: int = 41, **kwargs) -> RunResult:
+def run_gaussian(
+    i_c: float = 4e-6,
+    omega_p: float = 2.0 * math.pi * 17.546e9,
+    n_pairs: int = 41,
+    shape: str = "gaussian",
+    **kwargs,
+) -> RunResult:
     """Gaussian train: fluxoid amplitudes tracing a Gaussian envelope."""
-    kwargs.setdefault("shape", "gaussian")
     kwargs.setdefault("lambda_j", 2.50)
     kwargs.setdefault("alpha_in", GAUSSIAN_ALPHA_IN)
     kwargs.setdefault("theta_peak", GAUSSIAN_PEAK_THETA)
-    return run_fluxoid_train(i_c, omega_p, n_pairs, **kwargs)
+    return run_fluxoid_train(i_c, omega_p, n_pairs, shape, **kwargs)
 
 
+@_expected_notices()
 def run_single_fluxon(
-    alpha_out,
+    alpha_out: Sequence[float] = (0.15, 0.2, 0.25, 0.3, 0.35),
     *,
     i_c: float = 4e-6,
     f_plasma: float = 20e9,
@@ -402,7 +381,7 @@ def run_single_fluxon(
     r_n = damping_quality * math.sqrt(l_j / c_j)
     runs = []
     for a in alphas:
-        circuit = _build_circuit(i_c, omega_p, lambda_j, alpha_in, a, n_jtl, r_n)
+        circuit = solve_geometry(i_c, lambda_j, omega_p, alpha_in, a, n_jtl, r_n)
         derived = derive(circuit)
         width = single_fluxon_width(derived, v_tilde)
         pulse = sech_pulse(PHI0, width, t_center=6.0 * width)
@@ -454,7 +433,7 @@ def _classify_regime(
 
 
 def run_bandwidth_sweep(
-    n_pairs_list,
+    n_pairs_list: Sequence[float] = (50, 100, 200, 500),
     *,
     i_c: float = 3e-6,
     f_plasma: float = 15e9,
@@ -485,27 +464,39 @@ MAP_ALPHA_IN = 3.5
 MAP_DAMPING_QUALITY = 400.0
 
 
-def _map_point(args) -> tuple[int, int, float]:
-    (i, j, i_c, omega_p, protocol, alpha_in, quality, dt_divisor) = args
+def _pool_map(fn, tasks: list[tuple], jobs: int | None) -> list:
+    """``[fn(*task) for task in tasks]`` on up to ``jobs`` processes (default:
+    one per core); serial when jobs <= 1 or there is a single task."""
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
+
+
+def _map_point(
+    i_c: float, omega_p: float, protocol: str, alpha_in: float, quality: float,
+    dt_divisor: int,
+) -> float:
     l_j = PHI0 / (2.0 * math.pi * i_c)
-    lam = 3.17 if protocol == "flat_top" else 2.50
     c_j_ref = 1.0 / (omega_p**2 * l_j)
     r_n = quality * math.sqrt(l_j / c_j_ref)
     width = l_j / R_SFQ
-    common = dict(
-        lambda_j=lam, alpha_in=alpha_in, r_n=r_n, width=width,
+    # each protocol's runner defaults give its pair count and lambda_j
+    runner = run_flat_top if protocol == "flat_top" else run_gaussian
+    run = runner(
+        i_c, omega_p, alpha_in=alpha_in, r_n=r_n, width=width,
         drive_model="incident", dt_divisor=dt_divisor, keep_spectrum=False,
     )
-    if protocol == "flat_top":
-        run = run_flat_top(i_c, omega_p, 50, **common)
-    else:
-        run = run_gaussian(i_c, omega_p, 41, **common)
-    return i, j, run.eta
+    return run.eta
 
 
 def run_efficiency_map(
-    i_c_grid,
-    omega_p_grid,
+    i_c_grid: Sequence[float] = (2e-6, 3e-6),
+    omega_p_grid: Sequence[float] = (
+        2.0 * math.pi * 22e9, 2.0 * math.pi * 26e9, 2.0 * math.pi * 30e9
+    ),
     protocol: str = "flat_top",
     *,
     alpha_in: float = MAP_ALPHA_IN,
@@ -520,30 +511,21 @@ def run_efficiency_map(
         raise ScenarioError("efficiency map grids must be non-empty")
     if protocol not in ("flat_top", "gaussian"):
         raise ScenarioError(f"unknown protocol {protocol!r}")
-    tasks = [
-        (i, j, i_c, omega_p, protocol, alpha_in, damping_quality, dt_divisor)
-        for j, omega_p in enumerate(omega_p_grid)
-        for i, i_c in enumerate(i_c_grid)
-    ]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    eta = np.full((len(i_c_grid), len(omega_p_grid)), np.nan)
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, j, value in pool.map(_map_point, tasks):
-                eta[i, j] = value
-    else:
-        for task in tasks:
-            i, j, value = _map_point(task)
-            eta[i, j] = value
+    points = [(i_c, omega_p) for omega_p in omega_p_grid for i_c in i_c_grid]
+    etas = _pool_map(
+        _map_point,
+        [(i_c, omega_p, protocol, alpha_in, damping_quality, dt_divisor)
+         for i_c, omega_p in points],
+        jobs,
+    )
     runs = []
-    for j, omega_p in enumerate(omega_p_grid):
-        for i, i_c in enumerate(i_c_grid):
-            config = {
-                "protocol": protocol, "i_c": i_c, "omega_p": omega_p,
-                "alpha_in": alpha_in, "damping_quality": damping_quality,
-            }
-            runs.append(RunResult(config=config, eta=float(eta[i, j])))
+    for (i_c, omega_p), value in zip(points, etas):
+        config = {
+            "protocol": protocol, "i_c": i_c, "omega_p": omega_p,
+            "alpha_in": alpha_in, "damping_quality": damping_quality,
+        }
+        runs.append(RunResult(config=config, eta=value))
+    eta = np.array(etas).reshape(len(omega_p_grid), len(i_c_grid)).T
     provenance = {
         "scenario": "efficiency_map", "protocol": protocol,
         "i_c_grid": i_c_grid, "omega_p_grid": omega_p_grid,
@@ -585,46 +567,55 @@ def _table1_row(row, protocol: str, dt_divisor: int) -> RunResult:
 
 
 def run_table1(jobs: int | None = None, dt_divisor: int = 200) -> ScenarioReport:
-    """All eight performance-table rows with per-row pass/fail."""
-    rows = [("flat_top", r) for r in TABLE1_FLAT_TOP]
-    rows += [("gaussian", r) for r in TABLE1_GAUSSIAN]
-    runs = tuple(
-        _table1_row(row, protocol, dt_divisor) for protocol, row in rows
-    )
+    """All eight performance-table rows with per-row pass/fail, computed on
+    up to ``jobs`` processes."""
+    tasks = [(row, "flat_top", dt_divisor) for row in TABLE1_FLAT_TOP]
+    tasks += [(row, "gaussian", dt_divisor) for row in TABLE1_GAUSSIAN]
+    runs = tuple(_pool_map(_table1_row, tasks, jobs))
     provenance = {"scenario": "table1", "tolerances": TABLE1_TOLERANCES,
                   "n_rows": len(runs)}
     return ScenarioReport(scenario="table1", runs=runs, provenance=provenance)
 
 
+# The one description of each scenario: id -> runner.  A runner's signature
+# is the scenario's parameter list (names, types, defaults), and the CLI
+# reads its config keys from it; alpha_sweep is an alias of single_fluxon.
+SCENARIOS = {
+    "single_fluxon": run_single_fluxon,
+    "alpha_sweep": run_single_fluxon,
+    "gaussian": run_gaussian,
+    "flat_top": run_flat_top,
+    "bandwidth_sweep": run_bandwidth_sweep,
+    "efficiency_map": run_efficiency_map,
+    "table1": run_table1,
+}
+SCENARIO_IDS = tuple(SCENARIOS)
+
+
+def scenario_parameters(scenario: str) -> dict[str, object]:
+    """Parameter name -> type annotation of a scenario's runner.
+
+    A runner taking ``**kwargs`` hands them on to run_fluxoid_train, so it
+    also takes that function's keyword-only parameters.
+    """
+    sig = inspect.signature(SCENARIOS[scenario], eval_str=True)
+    params = {}
+    if any(p.kind is p.VAR_KEYWORD for p in sig.parameters.values()):
+        train = inspect.signature(run_fluxoid_train, eval_str=True)
+        params = {name: p.annotation for name, p in train.parameters.items()
+                  if p.kind is p.KEYWORD_ONLY}
+    params.update({name: p.annotation for name, p in sig.parameters.items()
+                   if p.kind is not p.VAR_KEYWORD})
+    return params
+
+
 def run_scenario(spec: ScenarioSpec, jobs: int | None = None) -> ScenarioReport:
-    """Dispatch a ScenarioSpec to its runner, applying overrides."""
-    ov = dict(spec.overrides)
-    if spec.scenario in ("single_fluxon", "alpha_sweep"):
-        alpha_out = ov.pop("alpha_out", [0.15, 0.2, 0.25, 0.3, 0.35])
-        return run_single_fluxon(alpha_out, **ov)
-    if spec.scenario == "flat_top":
-        i_c = ov.pop("i_c", 4e-6)
-        omega_p = ov.pop("omega_p", 2.0 * math.pi * 19.617e9)
-        n_pairs = int(ov.pop("n_pairs", 50))
-        run = run_flat_top(i_c, omega_p, n_pairs, **ov)
-        return ScenarioReport("flat_top", (run,), {"scenario": "flat_top"})
-    if spec.scenario == "gaussian":
-        i_c = ov.pop("i_c", 4e-6)
-        omega_p = ov.pop("omega_p", 2.0 * math.pi * 17.546e9)
-        n_pairs = int(ov.pop("n_pairs", 41))
-        run = run_gaussian(i_c, omega_p, n_pairs, **ov)
-        return ScenarioReport("gaussian", (run,), {"scenario": "gaussian"})
-    if spec.scenario == "bandwidth_sweep":
-        n_list = ov.pop("n_pairs_list", [50, 100, 200, 500])
-        return run_bandwidth_sweep(n_list, **ov)
-    if spec.scenario == "efficiency_map":
-        i_c_grid = ov.pop("i_c_grid", [2e-6, 3e-6])
-        omega_p_grid = ov.pop(
-            "omega_p_grid", [2.0 * math.pi * f for f in (22e9, 26e9, 30e9)]
-        )
-        protocol = ov.pop("protocol", "flat_top")
-        return run_efficiency_map(i_c_grid, omega_p_grid, protocol,
-                                  jobs=jobs, **ov)
-    if spec.scenario == "table1":
-        return run_table1(jobs=jobs, **ov)
-    raise ScenarioError(f"unknown scenario {spec.scenario!r}")
+    """Call the scenario's runner with the spec's overrides as keyword
+    arguments; ``jobs`` reaches the runners that take it."""
+    kwargs = dict(spec.overrides)
+    if jobs is not None and "jobs" in scenario_parameters(spec.scenario):
+        kwargs["jobs"] = jobs
+    result = SCENARIOS[spec.scenario](**kwargs)
+    if isinstance(result, RunResult):
+        result = ScenarioReport(spec.scenario, (result,), {"scenario": spec.scenario})
+    return result

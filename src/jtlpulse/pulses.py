@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -94,15 +94,7 @@ class PulseTrain:
         return out
 
     def to_json(self) -> str:
-        payload = {
-            "duration": self.duration,
-            "balanced": self.balanced,
-            "pulses": [
-                {"t_center": p.t_center, "area": p.area, "width": p.width}
-                for p in self.pulses
-            ],
-        }
-        return json.dumps(payload, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "PulseTrain":

@@ -25,7 +25,7 @@ doubling: they are taken as the literal Thevenin source V_drive(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -34,6 +34,7 @@ from .circuit import PHI0, CircuitParams, DerivedParams, derive
 from .pulses import PulseTrain
 
 DEFAULT_DT_DIVISOR = 200
+_CSV_BLOCK_ROWS = 1 << 16
 
 
 class SolverError(RuntimeError):
@@ -138,10 +139,51 @@ class Trajectory:
 
 
 def _write_csv(path, header: list[str], cols: list[np.ndarray]) -> None:
+    """Write equal-length columns as CSV, each float in shortest round-trip
+    form; rows are formatted a block at a time to bound memory."""
+    cols = [np.asarray(c, dtype=float) for c in cols]
+    step = _CSV_BLOCK_ROWS
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        for start in range(0, cols[0].size, step):
+            block = zip(*[map(repr, c[start:start + step].tolist()) for c in cols])
+            fh.write("\n".join(map(",".join, block)) + "\n")
+
+
+def _lattice(circuit: CircuitParams, boundaries: str) -> tuple:
+    """Constants of the lattice derivative, in the order ``_deriv`` reads them."""
+    if boundaries not in ("ports", "periodic", "open"):
+        raise ValueError(f"unknown boundaries {boundaries!r}")
+    k_flux = PHI0 / (2.0 * math.pi)
+    g_r = 0.0 if math.isinf(circuit.r_n) else 1.0 / circuit.r_n
+    return (
+        circuit.n_jtl, k_flux / circuit.l, 1.0 / circuit.z_in, 1.0 / circuit.z_out,
+        g_r, circuit.i_c, 1.0 / k_flux, 1.0 / circuit.c_j,
+        boundaries == "ports", boundaries == "periodic",
+    )
+
+
+def _deriv(
+    p: np.ndarray, u: np.ndarray, vd: float, lattice: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dphi/dt, dv/dt) at phases p, node voltages u and port EMF vd."""
+    n, g_l, g_in, g_out, g_r, i_c, inv_kflux, inv_c, ports, periodic = lattice
+    dp = p[1:] - p[:-1]
+    i_cell = np.zeros(n)
+    i_cell[:-1] = dp
+    i_cell[1:] -= dp
+    i_cell *= g_l
+    if ports:
+        i_cell[0] += (vd - u[0]) * g_in
+        i_cell[-1] -= u[-1] * g_out
+    elif periodic:
+        wrap = g_l * (p[0] - p[-1])
+        i_cell[0] -= wrap
+        i_cell[-1] += wrap
+    i_cell -= i_c * np.sin(p)
+    if g_r:
+        i_cell -= u * g_r
+    return inv_kflux * u, i_cell * inv_c
 
 
 def rhs(
@@ -153,30 +195,10 @@ def rhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative (dphi/dt, dv/dt) of a lattice state.
 
-    Reference implementation used by the tests; the integrator below inlines
-    the same arithmetic on preallocated arrays.
+    The same function ``simulate`` steps with, evaluated once at time t.
     """
-    phi, v = state.phi, state.v
     v_drive = float(drive(t)) if drive is not None else 0.0
-    k_flux = PHI0 / (2.0 * math.pi)
-    i_cell = np.empty_like(v)
-    # interior neighbor currents through the series inductors
-    lap = np.zeros_like(phi)
-    lap[1:] += phi[:-1] - phi[1:]
-    lap[:-1] += phi[1:] - phi[:-1]
-    i_cell[:] = k_flux * lap / circuit.l
-    if boundaries == "ports":
-        i_cell[0] += (v_drive - v[0]) / circuit.z_in
-        i_cell[-1] += -v[-1] / circuit.z_out
-    elif boundaries == "periodic":
-        i_cell[0] += k_flux * (phi[-1] - phi[0]) / circuit.l
-        i_cell[-1] += k_flux * (phi[0] - phi[-1]) / circuit.l
-    elif boundaries != "open":
-        raise ValueError(f"unknown boundaries {boundaries!r}")
-    i_cell -= circuit.i_c * np.sin(phi)
-    if not math.isinf(circuit.r_n):
-        i_cell -= v / circuit.r_n
-    return k_flux ** -1 * v, i_cell / circuit.c_j
+    return _deriv(state.phi, state.v, v_drive, _lattice(circuit, boundaries))
 
 
 def simulate(
@@ -235,37 +257,7 @@ def simulate(
     phi_out[:, 0] = phi
     v_out[:, 0] = v
 
-    k_flux = PHI0 / (2.0 * math.pi)
-    inv_kflux = 1.0 / k_flux
-    g_l = k_flux / circuit.l
-    inv_c = 1.0 / circuit.c_j
-    g_r = 0.0 if math.isinf(circuit.r_n) else 1.0 / circuit.r_n
-    g_in = 1.0 / circuit.z_in
-    g_out = 1.0 / circuit.z_out
-    i_c = circuit.i_c
-    ports = boundaries == "ports"
-    periodic = boundaries == "periodic"
-    if not ports and not periodic and boundaries != "open":
-        raise ValueError(f"unknown boundaries {boundaries!r}")
-
-    def deriv(p: np.ndarray, u: np.ndarray, vd: float) -> tuple[np.ndarray, np.ndarray]:
-        dp = p[1:] - p[:-1]
-        i_cell = np.zeros(n)
-        i_cell[:-1] = dp
-        i_cell[1:] -= dp
-        i_cell *= g_l
-        if ports:
-            i_cell[0] += (vd - u[0]) * g_in
-            i_cell[-1] -= u[-1] * g_out
-        elif periodic:
-            wrap = g_l * (p[0] - p[-1])
-            i_cell[0] -= wrap
-            i_cell[-1] += wrap
-        i_cell -= i_c * np.sin(p)
-        if g_r:
-            i_cell -= u * g_r
-        return inv_kflux * u, i_cell * inv_c
-
+    lattice = _lattice(circuit, boundaries)
     check_every = 64
     sixth = dt / 6.0
     half = dt / 2.0
@@ -273,10 +265,10 @@ def simulate(
         vd0 = v_drive[2 * step]
         vd1 = v_drive[2 * step + 1]
         vd2 = v_drive[2 * step + 2]
-        k1p, k1v = deriv(phi, v, vd0)
-        k2p, k2v = deriv(phi + half * k1p, v + half * k1v, vd1)
-        k3p, k3v = deriv(phi + half * k2p, v + half * k2v, vd1)
-        k4p, k4v = deriv(phi + dt * k3p, v + dt * k3v, vd2)
+        k1p, k1v = _deriv(phi, v, vd0, lattice)
+        k2p, k2v = _deriv(phi + half * k1p, v + half * k1v, vd1, lattice)
+        k3p, k3v = _deriv(phi + half * k2p, v + half * k2v, vd1, lattice)
+        k4p, k4v = _deriv(phi + dt * k3p, v + dt * k3v, vd2, lattice)
         phi = phi + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
         v = v + sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
         phi_out[:, step + 1] = phi
@@ -333,15 +325,7 @@ def dispersion_check(
         1.0 + 4.0 * derived.lambda_j**2 * math.sin(k / 2.0) ** 2
     )
     profile = np.cos(k * np.arange(n))
-    lossless = CircuitParams(
-        i_c=circuit.i_c,
-        c_j=circuit.c_j,
-        l=circuit.l,
-        z_in=circuit.z_in,
-        z_out=circuit.z_out,
-        r_n=math.inf,
-        n_jtl=n,
-    )
+    lossless = replace(circuit, r_n=math.inf)
     t_end = n_periods * 2.0 * math.pi / omega_pred
     dt = (2.0 * math.pi / derived.omega_p) / dt_divisor
     traj = simulate(

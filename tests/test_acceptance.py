@@ -103,7 +103,11 @@ def _check_table_rows(runs):
 
 @pytest.fixture(scope="module")
 def table1_report():
-    return run_table1()
+    return run_table1(jobs=JOBS)
+
+
+def test_table1_parallel_matches_serial(table1_report):
+    assert table1_report.to_json() == run_table1(jobs=1).to_json()
 
 
 def test_criterion_4_flat_top_table(table1_report):

@@ -164,6 +164,31 @@ class TestBreatherFit:
         with pytest.raises(InsufficientDataError):
             breather_fit(traj, 0)
 
+    def test_ripple_adds_no_peaks(self):
+        # a third harmonic at -0.15 splits each half-cycle's |v| maximum in
+        # two; one peak per half-cycle keeps f_osc at the fundamental
+        traj = _synthetic_ringdown(f=18e9, tau=0.5e-9)
+        t = traj.times
+        w = 2 * math.pi * 18e9
+        v = 1e-5 * np.exp(-t / 0.5e-9) * (np.cos(w * t) - 0.15 * np.cos(3 * w * t))
+        rippled = Trajectory(
+            times=t, phi=traj.phi, v=np.vstack([v, v]), v_source=traj.v_source,
+            circuit=traj.circuit, derived=traj.derived, drive_end=0.0,
+        )
+        fit = breather_fit(rippled, 0)
+        assert fit.f_osc == pytest.approx(18e9, rel=0.02)
+        assert fit.decay_time == pytest.approx(0.5e-9, rel=0.05)
+
+    def test_spectrum_csv_round_trip(self, tmp_path):
+        t, x = _tone(n=1024)
+        sp = psd(x, t[1] - t[0])
+        path = tmp_path / "spectrum.csv"
+        sp.to_csv(path)
+        assert path.read_text().splitlines()[0] == "freq,psd"
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, 0], sp.freqs)
+        assert np.array_equal(back[:, 1], sp.psd)
+
     def test_growing_envelope_rejected(self):
         traj = _synthetic_ringdown(tau=0.5e-9)
         grown = Trajectory(

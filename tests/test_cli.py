@@ -1,7 +1,10 @@
 """Command line interface: derive output, exit codes, scenario runs."""
 
+import functools
+
 import pytest
 
+from jtlpulse import experiments
 from jtlpulse.cli import eng, load_config, main
 
 ROW2_CONFIG = """\
@@ -141,3 +144,188 @@ class TestConfigParsing:
         path.write_text("[wat]\nx = 1\n")
         with pytest.raises(Exception, match="wat"):
             load_config(str(path))
+
+
+def _write(tmp_path, text, name="c.ini"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+# Keys that would set nothing: once accepted and ignored, foreign to the
+# scenario, or setting a parameter twice.  Both run and validate must
+# refuse each one, naming the key.
+IGNORED_KEYS = [
+    ("[scenario]\nid = flat_top\n[drive]\nn_pairs = 6\nspacing = 1e-3\n", "spacing"),
+    ("[scenario]\nid = bandwidth_sweep\nn_pairs_list = 5\n[drive]\nn_pairs = 999\n",
+     "n_pairs"),
+    ("[scenario]\nid = bandwidth_sweep\nn_pairs_list = 5\n[drive]\nprotocol = gaussian\n",
+     "protocol"),
+    ("[scenario]\nid = flat_top\nalpha_out_grid = 0.2\n", "alpha_out_grid"),
+    ("[scenario]\nid = single_fluxon\nalpha_out_grid = 0.2\njobs = 2\n", "jobs"),
+    ("[scenario]\nid = table1\n[drive]\ntheta_peak = 3.0\n", "theta_peak"),
+    ("[scenario]\nid = single_fluxon\nalpha_out_grid = 0.2\nalpha_out = 0.5\n",
+     "alpha_out"),
+]
+
+
+class TestKeyResolution:
+    @pytest.mark.parametrize("text,key", IGNORED_KEYS)
+    def test_run_refuses_unused_key(self, tmp_path, capsys, text, key):
+        code = main(["run", "--config", _write(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text,key", IGNORED_KEYS)
+    def test_validate_matches_run(self, tmp_path, capsys, text, key):
+        assert main(["validate", "--config", _write(tmp_path, text)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_scenario_flag_retypes_keys(self, tmp_path):
+        path = _write(tmp_path, "[scenario]\nid = single_fluxon\nalpha_out = 0.2\n")
+        assert load_config(path)["scenario"]["alpha_out"] == [0.2]
+        assert load_config(path, "flat_top")["scenario"]["alpha_out"] == 0.2
+
+    @pytest.mark.parametrize("text", [
+        "[scenario]\nid = table1\nid = table1\n",
+        "id = table1\n",
+    ])
+    def test_malformed_ini_is_a_config_error(self, tmp_path, capsys, text):
+        assert main(["validate", "--config", _write(tmp_path, text)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_validate_needs_scenario_for_scenario_keys(self, tmp_path, capsys):
+        path = _write(tmp_path, "[drive]\nn_pairs = 6\n")
+        assert main(["validate", "--config", path]) == 2
+        assert "'n_pairs'" in capsys.readouterr().err
+
+
+# One config per scenario setting every key the CLI accepted before the
+# scenario registry (minus the ones it ignored), and the keyword arguments
+# the runner received for it then.  [scenario] beats [drive], and the
+# command-line flags beat the file.
+_FLUXON_INI = """\
+[scenario]
+id = {sid}
+alpha_out_grid = 0.2, 0.3
+i_c = 3e-6
+f_plasma = 18e9
+lambda_j = 3.0
+v_tilde = 0.7
+alpha_in = 4.0
+damping_quality = 30.0
+n_jtl = 11
+[solver]
+dt_divisor = 150
+"""
+_FLUXON_KWARGS = {
+    "alpha_out": [0.2, 0.3], "i_c": 3e-06, "f_plasma": 18e9, "lambda_j": 3.0,
+    "v_tilde": 0.7, "alpha_in": 4.0, "damping_quality": 30.0, "n_jtl": 11,
+    "dt_divisor": 250,
+}
+_TRAIN_INI = """\
+[scenario]
+id = {sid}
+i_c = 5e-6
+omega_p = 1.2e11
+n_pairs = 7
+alpha_in = 6.0
+alpha_out = 0.3
+r_n = 20.0
+theta_peak = 2.5
+width = 2e-12
+spacing_multiple = 3
+lambda_j = 2.8
+n_jtl = 6
+drive_model = incident
+shape = flat_top
+[drive]
+protocol = gaussian
+n_pairs = 9
+spacing_multiple = 5
+theta_peak = 3.5
+sigma = 1.5
+width = 3e-12
+[solver]
+dt_divisor = 150
+"""
+_TRAIN_KWARGS = {
+    "i_c": 5e-06, "omega_p": 1.2e11, "n_pairs": 7, "alpha_in": 6.0,
+    "alpha_out": 0.3, "r_n": 20.0, "theta_peak": 2.5, "width": 2e-12,
+    "spacing_multiple": 3, "lambda_j": 2.8, "n_jtl": 6, "drive_model": "incident",
+    "shape": "flat_top", "sigma": 1.5, "dt_divisor": 250,
+}
+GOLDEN = {
+    "single_fluxon": (_FLUXON_INI.format(sid="single_fluxon"), _FLUXON_KWARGS),
+    "alpha_sweep": (_FLUXON_INI.format(sid="alpha_sweep"), _FLUXON_KWARGS),
+    "flat_top": (_TRAIN_INI.format(sid="flat_top"), _TRAIN_KWARGS),
+    "gaussian": (_TRAIN_INI.format(sid="gaussian"), _TRAIN_KWARGS),
+    "bandwidth_sweep": (
+        """\
+[scenario]
+id = bandwidth_sweep
+n_pairs_list = 5, 10
+i_c = 4e-6
+f_plasma = 16e9
+lambda_j = 3.0
+alpha_in = 6.0
+alpha_out = 0.3
+r_n = 20.0
+width = 2e-12
+spacing_multiple = 3
+[drive]
+spacing_multiple = 5
+theta_peak = 3.5
+sigma = 1.5
+width = 3e-12
+[solver]
+dt_divisor = 150
+""",
+        {"n_pairs_list": [5.0, 10.0], "i_c": 4e-06, "f_plasma": 16e9,
+         "lambda_j": 3.0, "alpha_in": 6.0, "alpha_out": 0.3, "r_n": 20.0,
+         "width": 2e-12, "spacing_multiple": 3, "theta_peak": 3.5, "sigma": 1.5,
+         "dt_divisor": 250},
+    ),
+    "efficiency_map": (
+        """\
+[scenario]
+id = efficiency_map
+i_c_grid = 2e-6, 4e-6
+omega_p_grid = 1.1e11, 1.3e11
+protocol = gaussian
+alpha_in = 3.0
+damping_quality = 100.0
+jobs = 3
+[solver]
+dt_divisor = 150
+""",
+        {"i_c_grid": [2e-06, 4e-06], "omega_p_grid": [1.1e11, 1.3e11],
+         "protocol": "gaussian", "alpha_in": 3.0, "damping_quality": 100.0,
+         "jobs": 2, "dt_divisor": 250},
+    ),
+    "table1": (
+        "[scenario]\nid = table1\njobs = 3\n[solver]\ndt_divisor = 150\n",
+        {"jobs": 2, "dt_divisor": 250},
+    ),
+}
+
+
+@pytest.mark.parametrize("sid", sorted(GOLDEN))
+def test_every_key_reaches_the_runner(sid, tmp_path, monkeypatch):
+    assert set(GOLDEN) == set(experiments.SCENARIO_IDS)
+    text, expected = GOLDEN[sid]
+    calls = []
+
+    @functools.wraps(experiments.SCENARIOS[sid])
+    def stub(*args, **kwargs):
+        calls.append((args, kwargs))
+        return experiments.ScenarioReport(sid, (), {})
+
+    monkeypatch.setitem(experiments.SCENARIOS, sid, stub)
+    code = main(["run", "--config", _write(tmp_path, text), "--out",
+                 str(tmp_path / "o"), "--jobs", "2", "--dt-divisor", "250"])
+    assert code == 0
+    assert calls == [((), expected)]
+    assert all(type(v) is type(expected[k]) for k, v in calls[0][1].items())

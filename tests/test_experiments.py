@@ -49,6 +49,13 @@ class TestSingleFluxon:
         taus = [r.fit.decay_time for r in report.runs]
         assert all(b < a for a, b in zip(taus, taus[1:]))
 
+    def test_ring_down_tone_matches_spectrum(self):
+        # one fit peak per half-cycle: the ring-down frequency is the PSD
+        # tone, not a ripple-inflated multiple of it
+        run = run_single_fluxon(0.35).runs[0]
+        assert run.regime == "breather"
+        assert run.fit.f_osc == pytest.approx(run.f0, rel=0.03)
+
     def test_grid_and_provenance(self):
         report = run_single_fluxon([0.15, 0.25])
         assert len(report.runs) == 2

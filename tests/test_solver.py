@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jtlpulse.circuit import PHI0, CircuitParams, derive, solve_geometry
+from jtlpulse import solver
 from jtlpulse.pulses import PulseTrain, sech_pulse
 from jtlpulse.solver import (
     LatticeState,
@@ -231,6 +232,21 @@ class TestExports:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,cell,phi,v,u_cell"
         assert len(lines) == 1 + 3 * traj.times.size
+
+    def test_csv_round_trip(self, tmp_path, monkeypatch):
+        # blocks shorter than the record exercise the block boundaries
+        monkeypatch.setattr(solver, "_CSV_BLOCK_ROWS", 7)
+        c = _circuit(n_jtl=3)
+        traj = simulate(c, None, 1e-10, initial_phi=np.array([0.1, -0.2, 0.0]))
+        traj.to_csv(tmp_path / "traj.csv")
+        back = np.loadtxt(tmp_path / "traj.csv", delimiter=",", skiprows=1)
+        cols = [traj.times, *traj.phi, *traj.v, traj.v_source, traj.i_in, traj.i_out]
+        assert np.array_equal(back, np.column_stack(cols))
+        traj.field_dump(tmp_path / "fields.csv")
+        back = np.loadtxt(tmp_path / "fields.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, 0], np.repeat(traj.times, 3))
+        assert np.array_equal(back[:, 2], traj.phi.T.ravel())
+        assert np.array_equal(back[:, 4], traj.u_cell.T.ravel())
 
     def test_u_cell_nonnegative(self):
         c = _circuit(n_jtl=3)
