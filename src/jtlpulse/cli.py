@@ -186,8 +186,6 @@ def cmd_run(args) -> int:
     spec = ScenarioSpec(scenario=sid, overrides=overrides, outdir=args.out)
     try:
         report = run_scenario(spec, jobs=args.jobs)
-    except (ScenarioError, ParameterError) as exc:
-        raise ConfigError(str(exc)) from exc
     except (SolverError, AnalysisError) as exc:
         print(
             f"scenario {sid!r} failed with resolved overrides {overrides!r}",

@@ -7,9 +7,9 @@ conventions appear here, reflecting how the drive reaches the line:
   line toward the JTL (single fluxons, efficiency maps); the solver applies
   the line's Thevenin equivalent (open-circuit voltage twice the incident
   wave).
-* ``drive_model="source"`` -- the pulse generator sits at the input port and
-  its output voltage is the port EMF directly (fluxoid train scenarios that
-  reproduce the performance-table powers).
+* ``drive_model="source"`` -- the pulse generator at the input port sets the
+  port EMF (the performance-table trains).  An EMF V behind z_in is the
+  incident wave V/2, so these run as the incident train at half area.
 
 Junction damping also follows the physical architecture: the pulse-train
 width anchor is the shunted generator junction (R_SFQ, making the
@@ -48,6 +48,7 @@ from .pulses import (
     schedule_spacing,
     sech_pulse,
     single_fluxon_width,
+    train_pulse_width,
 )
 from .solver import Trajectory, simulate
 from .analysis import (
@@ -177,49 +178,38 @@ def _simulate_settled(
     train: PulseTrain,
     t_tail0: float,
     *,
-    drive_model: str,
     dt_divisor: int,
     residual_frac: float = 1e-3,
     max_extensions: int = 6,
-) -> Trajectory:
+) -> tuple[Trajectory, float]:
     """Run until the stored energy residual is below residual_frac of the
-    injected forward energy, extending the horizon geometrically."""
+    injected forward energy, doubling the tail; returns (trajectory, e_in)."""
     derived = derive(circuit)
     t_plasma = 2.0 * math.pi / derived.omega_p
     dt = t_plasma / dt_divisor
-    if drive_model == "incident":
-        drive = train
-    elif drive_model == "source":
-        # literal port EMF: present the train without the Thevenin doubling
-        drive = lambda t: train.sample(np.asarray(t, dtype=float))
-    else:
-        raise ScenarioError(f"unknown drive_model {drive_model!r}")
     t_end = train.duration + t_tail0
     for _ in range(max_extensions + 1):
-        traj = simulate(circuit, drive, t_end, dt)
-        if not isinstance(drive, PulseTrain):
-            traj = replace(traj, drive_end=train.duration)
+        traj = simulate(circuit, train, t_end, dt)
         e_in = forward_energy(traj.v_node1, traj.i_in, circuit.z_in, traj.times)
         residual = float(traj.stored_energy()[-1])
         if e_in <= 0.0 or residual <= residual_frac * e_in:
-            return traj
+            return traj, e_in
         t_end = train.duration + (t_end - train.duration) * 2.0
     warnings.warn(
         f"stored energy residual {residual / e_in:.2e} of injected after "
         f"{max_extensions} horizon extensions",
         stacklevel=2,
     )
-    return traj
+    return traj, e_in
 
 
 def _measure_train_run(
-    traj: Trajectory, seq_duration: float
+    traj: Trajectory, e_in: float, seq_duration: float
 ) -> tuple[SpectrumResult, PowerReport]:
-    """Spectrum and power bookkeeping for a pulse-train run."""
+    """Spectrum and power bookkeeping for a pulse-train run injecting e_in."""
     c = traj.circuit
     a_out = traj.v_nodeN / math.sqrt(c.z_out)
     spectrum = psd(a_out, traj.dt)
-    e_in = forward_energy(traj.v_node1, traj.i_in, c.z_in, traj.times)
     e_out = forward_energy(traj.v_nodeN, traj.i_out, c.z_out, traj.times)
     band = None
     if spectrum.f0 is not None and spectrum.fwhm is not None:
@@ -268,6 +258,8 @@ def run_fluxoid_train(
     """
     if n_pairs < 1:
         raise ScenarioError(f"n_pairs must be >= 1, got {n_pairs}")
+    if drive_model not in ("source", "incident"):
+        raise ScenarioError(f"unknown drive_model {drive_model!r}")
     if n_jtl is None:
         n_jtl = _jtl_length(lambda_j)
     circuit = solve_geometry(
@@ -275,7 +267,7 @@ def run_fluxoid_train(
     )
     derived = derive(circuit)
     if width is None:
-        width = derived.tau_lr / (2.0 * math.pi)
+        width = train_pulse_width(derived) / (2.0 * math.pi)
     spacing = schedule_spacing(derived, spacing_multiple)
     m = 2 * n_pairs - 1
     if shape == "flat_top":
@@ -285,12 +277,14 @@ def run_fluxoid_train(
     else:
         raise ScenarioError(f"unknown train shape {shape!r}")
     train = compile_envelope(envelope, spacing, width, t_start=5.0 * width)
+    if drive_model == "source":
+        # exact halving: the solver's Thevenin doubling samples the same EMF
+        half = tuple(replace(p, area=0.5 * p.area) for p in train.pulses)
+        train = replace(train, pulses=half)
     seq_duration = (m + 1) * spacing
     t_tail0 = 30.0 * 2.0 * math.pi / derived.omega_p
-    traj = _simulate_settled(
-        circuit, train, t_tail0, drive_model=drive_model, dt_divisor=dt_divisor
-    )
-    spectrum, power = _measure_train_run(traj, seq_duration)
+    traj, e_in = _simulate_settled(circuit, train, t_tail0, dt_divisor=dt_divisor)
+    spectrum, power = _measure_train_run(traj, e_in, seq_duration)
     config = {
         "shape": shape, "i_c": i_c, "omega_p": derived.omega_p,
         "lambda_j": derived.lambda_j, "n_pairs": n_pairs,

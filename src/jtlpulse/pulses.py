@@ -171,7 +171,8 @@ def single_fluxon_width(derived: DerivedParams, v_tilde: float) -> float:
 
 
 def train_pulse_width(derived: DerivedParams) -> float:
-    """Drive pulse time constant for fluxoid trains: the junction L/R time."""
+    """Full drive pulse width for fluxoid trains, the junction L/R time;
+    the sech time constant (``Pulse.width``) is this over 2 pi."""
     return derived.tau_lr
 
 

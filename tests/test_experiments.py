@@ -5,6 +5,10 @@ import math
 
 import pytest
 
+from jtlpulse import experiments
+from jtlpulse.analysis import forward_energy
+from jtlpulse.circuit import derive, solve_geometry
+from jtlpulse.pulses import PhaseEnvelope, compile_envelope, schedule_spacing
 from jtlpulse.experiments import (
     GAUSSIAN_PEAK_THETA,
     R_SFQ,
@@ -175,3 +179,76 @@ class TestOutputs:
         assert spectrum_files
         first = open(spectrum_files[0]).readline().strip()
         assert first == "freq,psd"
+
+
+class TestDriveModels:
+    @pytest.mark.parametrize(
+        "runner, theta_peak",
+        [(run_flat_top, math.pi), (run_gaussian, GAUSSIAN_PEAK_THETA)],
+    )
+    def test_source_is_incident_train_at_half_area(self, runner, theta_peak):
+        # an EMF V behind z_in is the incident wave V/2 on the input line
+        source = runner(n_pairs=5, keep_spectrum=False, drive_model="source")
+        incident = runner(n_pairs=5, keep_spectrum=False, drive_model="incident",
+                          theta_peak=theta_peak / 2)
+        for name in ("f0", "fwhm", "eta", "power"):
+            assert getattr(source, name) == getattr(incident, name), name
+
+    def test_unknown_drive_model_rejected_before_simulating(self, monkeypatch):
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulate called for an invalid drive_model")
+
+        monkeypatch.setattr(experiments, "simulate", no_simulate)
+        with pytest.raises(ScenarioError, match="'bogus'"):
+            run_flat_top(n_pairs=5, drive_model="bogus")
+
+
+@pytest.mark.filterwarnings("ignore:beta_c = .* junctions are underdamped")
+class TestSettle:
+    """A 19-extremum train on a nearly lossless 15 GHz line whose first tail,
+    half a plasma period, leaves too much energy stored in the line."""
+
+    @pytest.fixture
+    def case(self):
+        i_c, omega_p = 3e-6, 2 * math.pi * 15e9
+        l_j = PHI0 / (2 * math.pi * i_c)
+        c_j = 1 / (omega_p**2 * l_j)
+        r_n = 400 * math.sqrt(l_j / c_j)
+        circuit = solve_geometry(i_c, 3.17, omega_p, 3.5, 0.25, 5, r_n)
+        derived = derive(circuit)
+        width = l_j / R_SFQ
+        train = compile_envelope(
+            PhaseEnvelope.flat_top(19), schedule_spacing(derived), width,
+            t_start=5 * width,
+        )
+        t_tail0 = 0.5 * 2 * math.pi / derived.omega_p
+        return circuit, train, t_tail0
+
+    def test_tail_doubles_until_settled(self, case, monkeypatch):
+        circuit, train, t_tail0 = case
+        horizons = []
+        simulate = experiments.simulate
+
+        def recording(circuit, drive, t_end, dt):
+            horizons.append(t_end)
+            return simulate(circuit, drive, t_end, dt)
+
+        monkeypatch.setattr(experiments, "simulate", recording)
+        traj, e_in = experiments._simulate_settled(
+            circuit, train, t_tail0, dt_divisor=200
+        )
+        assert horizons == pytest.approx(
+            [train.duration + k * t_tail0 for k in (1, 2, 4)], rel=1e-12
+        )
+        assert traj.times[-1] >= horizons[-1]
+        assert traj.stored_energy()[-1] <= 1e-3 * e_in
+        assert e_in == forward_energy(
+            traj.v_node1, traj.i_in, circuit.z_in, traj.times
+        )
+
+    def test_warns_when_extensions_run_out(self, case):
+        circuit, train, t_tail0 = case
+        with pytest.warns(UserWarning, match="stored energy residual"):
+            experiments._simulate_settled(
+                circuit, train, t_tail0, dt_divisor=200, max_extensions=0
+            )
