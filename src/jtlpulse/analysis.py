@@ -213,26 +213,19 @@ def band_power_dbm(
     return 10.0 * math.log10(power / 1e-3)
 
 
-def breather_fit(
-    trajectory: Trajectory,
-    cell: int = -1,
-    *,
-    t_start: float | None = None,
-    peak_floor: float = 1e-3,
-) -> BreatherFit:
+def breather_fit(trajectory: Trajectory, cell: int = -1) -> BreatherFit:
     """Fit the post-drive ring-down at ``cell`` to A exp(-t/tau) cos(2 pi f t).
 
-    Envelope peaks are one per half-cycle, the largest |v| between
-    consecutive sign changes of v, kept above ``peak_floor`` of the segment
-    maximum; ripple within a half-cycle therefore adds no peaks.  The
+    The ring-down segment starts at ``trajectory.drive_end``.  Envelope
+    peaks are one per half-cycle, the largest |v| between consecutive sign
+    changes of v, kept above 1e-3 of the segment maximum; ripple within a
+    half-cycle therefore adds no peaks.  The
     frequency comes from their mean spacing (peaks occur each half period)
     and the decay time from a least-squares line through the log peaks.
     Raises InsufficientDataError below four peaks.
     """
-    if t_start is None:
-        t_start = trajectory.drive_end
     times = trajectory.times
-    sel = times >= t_start
+    sel = times >= trajectory.drive_end
     if sel.sum() < 8:
         raise InsufficientDataError("ring-down segment too short")
     t = times[sel]
@@ -245,7 +238,7 @@ def breather_fit(
     idx = np.array(
         [a + int(np.argmax(x[a:b])) for a, b in zip(flips, flips[1:])], dtype=int
     )
-    idx = idx[x[idx] > peak_floor * scale]
+    idx = idx[x[idx] > 1e-3 * scale]
     if idx.size < 4:
         raise InsufficientDataError(
             f"only {idx.size} envelope peaks above threshold; need >= 4"

@@ -23,7 +23,6 @@ from .analysis import AnalysisError
 from .experiments import (
     SCENARIO_IDS,
     ScenarioError,
-    ScenarioSpec,
     run_scenario,
     scenario_parameters,
 )
@@ -183,9 +182,8 @@ def cmd_run(args) -> int:
         raise ConfigError("no scenario id given (use --scenario or [scenario] id)")
     if args.dt_divisor is not None:
         overrides["dt_divisor"] = args.dt_divisor
-    spec = ScenarioSpec(scenario=sid, overrides=overrides, outdir=args.out)
     try:
-        report = run_scenario(spec, jobs=args.jobs)
+        report = run_scenario(sid, overrides, jobs=args.jobs)
     except (SolverError, AnalysisError) as exc:
         print(
             f"scenario {sid!r} failed with resolved overrides {overrides!r}",

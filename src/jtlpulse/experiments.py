@@ -28,7 +28,7 @@ import warnings
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,7 @@ from .pulses import (
     single_fluxon_width,
     train_pulse_width,
 )
-from .solver import Trajectory, simulate
+from .solver import MIN_DT_DIVISOR, Trajectory, simulate
 from .analysis import (
     AnalysisError,
     BreatherFit,
@@ -71,22 +71,6 @@ R_SFQ = 2.0 * math.pi * DEFAULT_R_N
 
 class ScenarioError(ValueError):
     """Bad scenario identifier or scenario parameters."""
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A scenario request: id, parameter overrides, output directory."""
-
-    scenario: str
-    overrides: dict = field(default_factory=dict)
-    outdir: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ScenarioError(
-                f"unknown scenario {self.scenario!r}; valid ids: "
-                + ", ".join(SCENARIO_IDS)
-            )
 
 
 @dataclass(frozen=True)
@@ -179,11 +163,10 @@ def _simulate_settled(
     t_tail0: float,
     *,
     dt_divisor: int,
-    residual_frac: float = 1e-3,
     max_extensions: int = 6,
 ) -> tuple[Trajectory, float]:
-    """Run until the stored energy residual is below residual_frac of the
-    injected forward energy, doubling the tail; returns (trajectory, e_in)."""
+    """Run until the stored energy residual is below 1e-3 of the injected
+    forward energy, doubling the tail; returns (trajectory, e_in)."""
     derived = derive(circuit)
     t_plasma = 2.0 * math.pi / derived.omega_p
     dt = t_plasma / dt_divisor
@@ -192,7 +175,7 @@ def _simulate_settled(
         traj = simulate(circuit, train, t_end, dt)
         e_in = forward_energy(traj.v_node1, traj.i_in, circuit.z_in, traj.times)
         residual = float(traj.stored_energy()[-1])
-        if e_in <= 0.0 or residual <= residual_frac * e_in:
+        if e_in <= 0.0 or residual <= 1e-3 * e_in:
             return traj, e_in
         t_end = train.duration + (t_end - train.duration) * 2.0
     warnings.warn(
@@ -436,6 +419,9 @@ def run_bandwidth_sweep(
 ) -> ScenarioReport:
     """Flat-top FWHM vs pulse-pair count at the fixed 15 GHz circuit."""
     n_list = [int(n) for n in n_pairs_list]
+    for n in n_pairs_list:
+        if n != int(n):
+            raise ScenarioError(f"n_pairs_list value {n!r} is not a whole number")
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ScenarioError("n_pairs_list must be non-empty and ascending")
     omega_p = 2.0 * math.pi * f_plasma
@@ -553,9 +539,8 @@ def _table1_row(row, protocol: str, dt_divisor: int) -> RunResult:
     config["protocol"] = protocol
     config["targets"] = targets
     config["checks"] = checks
-    return RunResult(
-        config=config, f0=run.f0, fwhm=run.fwhm, eta=run.eta, power=run.power,
-        passed=all(checks.values()),
+    return replace(
+        run, config=config, passed=all(checks.values()),
         notes=", ".join(k for k, ok in checks.items() if not ok),
     )
 
@@ -603,13 +588,24 @@ def scenario_parameters(scenario: str) -> dict[str, object]:
     return params
 
 
-def run_scenario(spec: ScenarioSpec, jobs: int | None = None) -> ScenarioReport:
-    """Call the scenario's runner with the spec's overrides as keyword
-    arguments; ``jobs`` reaches the runners that take it."""
-    kwargs = dict(spec.overrides)
-    if jobs is not None and "jobs" in scenario_parameters(spec.scenario):
+def run_scenario(
+    scenario: str, overrides: dict, jobs: int | None = None
+) -> ScenarioReport:
+    """Call the scenario's runner with ``overrides`` as keyword arguments;
+    ``jobs`` reaches the runners that take it.  A dt_divisor below
+    MIN_DT_DIVISOR is refused before any runner starts."""
+    if scenario not in SCENARIOS:
+        raise ScenarioError(
+            f"unknown scenario {scenario!r}; valid ids: " + ", ".join(SCENARIO_IDS)
+        )
+    kwargs = dict(overrides)
+    if kwargs.get("dt_divisor", MIN_DT_DIVISOR) < MIN_DT_DIVISOR:
+        raise ScenarioError(
+            f"dt_divisor must be >= {MIN_DT_DIVISOR}, got {kwargs['dt_divisor']!r}"
+        )
+    if jobs is not None and "jobs" in scenario_parameters(scenario):
         kwargs["jobs"] = jobs
-    result = SCENARIOS[spec.scenario](**kwargs)
+    result = SCENARIOS[scenario](**kwargs)
     if isinstance(result, RunResult):
-        result = ScenarioReport(spec.scenario, (result,), {"scenario": spec.scenario})
+        result = ScenarioReport(scenario, (result,), {"scenario": scenario})
     return result

@@ -68,10 +68,6 @@ class PulseTrain:
                     f"duration {self.duration!r} < last t_center + 5 width {tail!r}"
                 )
 
-    @property
-    def total_area(self) -> float:
-        return sum(p.area for p in self.pulses)
-
     def voltage(self, t):
         """Superposition of all pulses at time(s) ``t``."""
         t = np.asarray(t, dtype=float)

@@ -118,6 +118,17 @@ class TestRun:
         assert all("p_in=" in l and "p_band=" in l for l in lines)
         assert all(l.endswith("PASS") for l in lines)
 
+    @pytest.mark.parametrize("divisor", ["0", "-5", "50"])
+    def test_coarse_dt_divisor_is_a_config_error(self, tmp_path, capsys, divisor):
+        out = tmp_path / "out"
+        code = main([
+            "run", "--config", _write(tmp_path, "[scenario]\n"), "--scenario",
+            "flat_top", "--out", str(out), "--dt-divisor", divisor,
+        ])
+        assert code == 2
+        assert "dt_divisor" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stable_column_order(self, row2_config, tmp_path, capsys):
         main(["run", "--config", row2_config, "--out", str(tmp_path / "o")])
         line = [

@@ -15,7 +15,6 @@ from jtlpulse.experiments import (
     TABLE1_FLAT_TOP,
     TABLE1_GAUSSIAN,
     ScenarioError,
-    ScenarioSpec,
     run_bandwidth_sweep,
     run_efficiency_map,
     run_flat_top,
@@ -118,6 +117,14 @@ class TestBandwidthSweep:
         with pytest.raises(ScenarioError):
             run_bandwidth_sweep([])
 
+    def test_non_integer_pair_count_rejected(self, monkeypatch):
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulate called for a non-integer pair count")
+
+        monkeypatch.setattr(experiments, "simulate", no_simulate)
+        with pytest.raises(ScenarioError, match="5.7"):
+            run_bandwidth_sweep([5.7, 10])
+
     def test_small_sweep_narrows(self):
         report = run_bandwidth_sweep([5, 10])
         widths = [r.fwhm for r in report.runs]
@@ -149,16 +156,20 @@ class TestEfficiencyMap:
 class TestScenarioDispatch:
     def test_unknown_id_rejected_with_listing(self):
         with pytest.raises(ScenarioError, match="single_fluxon"):
-            ScenarioSpec(scenario="nope")
+            run_scenario("nope", {})
 
     def test_dispatch_flat_top(self):
-        spec = ScenarioSpec(
-            scenario="flat_top",
-            overrides={"n_pairs": 6, "keep_spectrum": False},
-        )
-        report = run_scenario(spec)
+        report = run_scenario("flat_top", {"n_pairs": 6, "keep_spectrum": False})
         assert report.scenario == "flat_top"
         assert report.runs[0].f0 is not None
+
+    def test_coarse_dt_divisor_rejected_before_running(self, monkeypatch):
+        def no_runner(**kwargs):
+            raise AssertionError("runner called with a too coarse dt_divisor")
+
+        monkeypatch.setitem(experiments.SCENARIOS, "flat_top", no_runner)
+        with pytest.raises(ScenarioError, match="dt_divisor"):
+            run_scenario("flat_top", {"dt_divisor": 99})
 
     def test_table_constants_shape(self):
         assert len(TABLE1_FLAT_TOP) == 4

@@ -144,6 +144,11 @@ class TestSimulate:
         with pytest.raises(SolverError, match="dt"):
             simulate(c, None, 1e-9, dt=(2 * math.pi / d.omega_p) / 50)
 
+    @pytest.mark.parametrize("dt", [0.0, -2.5e-13, math.nan])
+    def test_dt_must_be_positive(self, dt):
+        with pytest.raises(SolverError, match="dt"):
+            simulate(_circuit(), None, 1e-9, dt=dt)
+
     def test_t_end_must_cover_drive(self):
         c = _circuit()
         train = PulseTrain(pulses=(sech_pulse(PHI0, 20e-12, 1e-10),), duration=2e-10)
@@ -156,6 +161,22 @@ class TestSimulate:
         bad[0] = np.nan
         with pytest.raises(SolverError, match="step"):
             simulate(c, None, 1e-9, initial_phi=bad)
+
+    def test_nonfinite_voltage_on_last_step_aborts_with_step(self):
+        # only the last drive sample is NaN: v turns non-finite on the
+        # final step while phi stays finite
+        c = CircuitParams(
+            i_c=4e-6, c_j=770e-15, l=7.56e-12, z_in=0.63, z_out=12.6, n_jtl=13
+        )
+        dt = 2 * math.pi / derive(c).omega_p / 200
+
+        def drive(t):
+            out = np.zeros_like(t)
+            out[-1] = np.nan
+            return out
+
+        with pytest.raises(SolverError, match=r"non-finite state at step 1001 "):
+            simulate(c, drive, 1000 * dt, dt)
 
     def test_port_records(self):
         c = _circuit()
