@@ -9,7 +9,6 @@ from .circuit import (
     DerivedParams,
     ParameterError,
     derive,
-    energy_scales,
     reflection_thresholds,
     solve_geometry,
 )
@@ -23,7 +22,7 @@ from .pulses import (
     single_fluxon_width,
     train_pulse_width,
 )
-from .solver import LatticeState, SolverError, Trajectory, dispersion_check, rhs, simulate
+from .solver import SolverError, Trajectory, dispersion_check, simulate
 from .analysis import (
     AnalysisError,
     BreatherFit,

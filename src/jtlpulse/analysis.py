@@ -37,10 +37,6 @@ class SpectrumResult:
     f0: float | None
     fwhm: float | None
 
-    @property
-    def has_peak(self) -> bool:
-        return self.f0 is not None
-
     def to_csv(self, path) -> None:
         _write_csv(path, ["freq", "psd"], [self.freqs, self.psd])
 
@@ -66,18 +62,16 @@ class BreatherFit:
     n_peaks: int
 
 
-def esd(signal: np.ndarray, dt: float, window: str = "rectangular",
-        pad_factor: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided energy spectral density |X(f)|^2 dt^2 of a real record.
+def esd(
+    signal: np.ndarray, dt: float, pad_factor: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided energy spectral density |X(f)|^2 dt^2 of a real record,
+    zero-padded to ``pad_factor`` times its length.
 
-    Integrating the result over frequency returns the windowed record's
-    time-domain energy sum(x^2) dt.
+    Integrating the result over frequency returns the record's time-domain
+    energy sum(x^2) dt.
     """
     x = np.asarray(signal, dtype=float)
-    if window == "hann":
-        x = x * np.hanning(x.size)
-    elif window != "rectangular":
-        raise ValueError(f"unknown window {window!r}")
     n_fft = int(pad_factor) * x.size
     spec = np.fft.rfft(x, n=n_fft)
     freqs = np.fft.rfftfreq(n_fft, d=dt)
@@ -89,32 +83,20 @@ def esd(signal: np.ndarray, dt: float, window: str = "rectangular",
 
 
 def psd(
-    signal: np.ndarray,
-    dt: float | None = None,
-    *,
-    times: np.ndarray | None = None,
-    window: str = "rectangular",
-    pad_factor: int = 8,
+    signal: np.ndarray, dt: float, *, pad_factor: int = 8
 ) -> SpectrumResult:
     """PSD with peak frequency and interpolated full width at half maximum.
 
-    The record must be uniformly sampled (pass ``times`` to have the grid
-    checked) and at least 256 samples long.  f0 is the argmax over f > 0;
+    The record is sampled every ``dt`` seconds and must be at least 256
+    samples long.  f0 is the argmax over f > 0;
     the FWHM comes from linear interpolation of the half-maximum crossings
     around that peak.  A record whose above-DC maximum does not stand out
     of the DC skirt yields a no-peak result (f0 = fwhm = None).
     """
     x = np.asarray(signal, dtype=float)
-    if times is not None:
-        steps = np.diff(np.asarray(times, dtype=float))
-        if steps.size == 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise AnalysisError("time grid is not uniform")
-        dt = float(steps[0])
-    if dt is None:
-        raise AnalysisError("either dt or times is required")
     if x.size < 256:
         raise AnalysisError(f"record too short for a spectrum: {x.size} < 256 samples")
-    freqs, density = esd(x, dt, window=window, pad_factor=pad_factor)
+    freqs, density = esd(x, dt, pad_factor=pad_factor)
     duration = x.size * dt
     density = density / duration
     k0 = int(np.argmax(density[1:])) + 1

@@ -112,42 +112,27 @@ def derive(params: CircuitParams) -> DerivedParams:
     )
 
 
-def reflection_thresholds(
-    v_tilde: float, variant: str = "quoted_consistent"
-) -> tuple[float, float]:
+def reflection_thresholds(v_tilde: float) -> tuple[float, float]:
     """Impedance-ratio thresholds bounding the absorption regime.
 
     Below ``alpha_0`` an incident fluxon reflects as an antifluxon; above
     ``alpha_inf`` it reflects as a fluxon.  Between the two it is absorbed or
-    forms a breather.  ``variant`` selects the closed form for ``alpha_inf``:
+    forms a breather.  ``alpha_inf`` = 4 v / sqrt(1 - v^2), the form that
+    matches the reference value alpha_inf(0.75) = 4.54; the printed form
+    |4 v / (sqrt(1 - v^2) - 1)| gives 8.86 there.
 
-    * ``"as_printed"``      -- |4 v / (sqrt(1 - v^2) - 1)|
-    * ``"quoted_consistent"`` -- 4 v / sqrt(1 - v^2), the form that matches
-      the reference values alpha_inf(0.75) = 4.54.
-
-    ``alpha_0`` is the same in both variants; its reference value 0.075 at
-    v = 0.75 is not reproduced by any algebraic rearrangement we know of
-    (the formula gives 0.0919).
+    ``alpha_0``'s reference value 0.075 at v = 0.75 is not reproduced by any
+    algebraic rearrangement we know of (the formula gives 0.0919).
     """
     if not 0.0 < v_tilde < 1.0:
         raise ValueError(f"v_tilde must lie in (0, 1), got {v_tilde!r}")
-    if variant not in ("as_printed", "quoted_consistent"):
-        raise ValueError(f"unknown variant {variant!r}")
     gamma = math.sqrt(1.0 - v_tilde**2)
     alpha_0 = abs(
         (gamma - 1.0)
         / (2.0 * (math.atan(gamma / v_tilde) / gamma + v_tilde))
     )
-    if variant == "as_printed":
-        alpha_inf = abs(4.0 * v_tilde / (gamma - 1.0))
-    else:
-        alpha_inf = 4.0 * v_tilde / gamma
+    alpha_inf = 4.0 * v_tilde / gamma
     return alpha_0, alpha_inf
-
-
-def energy_scales(derived: DerivedParams) -> tuple[float, float]:
-    """Fluxon rest energy and the fluxon/antifluxon separation threshold 2 e_0."""
-    return derived.e_0, 2.0 * derived.e_0
 
 
 def solve_geometry(
@@ -170,8 +155,11 @@ def solve_geometry(
     significant figures.  A literal ``l`` or ``c_j`` (a printed table row)
     replaces the solved value, and the matching target is then unused.
     """
-    if lambda_j <= 0 or omega_p <= 0 or alpha_in <= 0 or alpha_out <= 0:
-        raise ParameterError("geometry targets must be strictly positive")
+    targets = {"i_c": i_c, "lambda_j": lambda_j, "omega_p": omega_p,
+               "alpha_in": alpha_in, "alpha_out": alpha_out}
+    for name, value in targets.items():
+        if not value > 0:
+            raise ParameterError(f"{name} must be strictly positive, got {value!r}")
     l_j = PHI0 / (2.0 * math.pi * i_c)
     if c_j is None:
         c_j = 1.0 / (omega_p**2 * l_j)

@@ -50,7 +50,7 @@ from .pulses import (
     single_fluxon_width,
     train_pulse_width,
 )
-from .solver import MIN_DT_DIVISOR, Trajectory, simulate
+from .solver import DEFAULT_DT_DIVISOR, MIN_DT_DIVISOR, Trajectory, simulate
 from .analysis import (
     AnalysisError,
     BreatherFit,
@@ -141,6 +141,13 @@ TABLE1_GAUSSIAN = (
 TABLE1_TOLERANCES = {"f0": 0.05, "fwhm": 0.40, "p_in": 0.25, "p_band_db": 6.0}
 
 
+def _require_positive(name: str, *values: float) -> None:
+    """Refuse scenario input ``name`` unless every value is finite and > 0."""
+    for value in values:
+        if not 0.0 < value < math.inf:
+            raise ScenarioError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _jtl_length(lambda_j: float) -> int:
     """Line length minimizing the input impedance seen past the input port."""
     return int(min(5, max(4, round(1.66 * lambda_j))))
@@ -228,7 +235,7 @@ def run_fluxoid_train(
     n_jtl: int | None = None,
     l: float | None = None,
     c_j: float | None = None,
-    dt_divisor: int = 200,
+    dt_divisor: int = DEFAULT_DT_DIVISOR,
     keep_spectrum: bool = True,
 ) -> RunResult:
     """One fluxoid-pair-train run: build, settle, measure.
@@ -335,7 +342,7 @@ def run_single_fluxon(
     damping_quality: float = 20.0,
     n_jtl: int | None = None,
     n_tail_periods: float = 60.0,
-    dt_divisor: int = 200,
+    dt_divisor: int = DEFAULT_DT_DIVISOR,
 ) -> ScenarioReport:
     """Inject one fluxon and classify the boundary outcome per alpha_out.
 
@@ -350,6 +357,9 @@ def run_single_fluxon(
     alphas = [float(a) for a in np.atleast_1d(alpha_out)]
     if any(not 0.05 < a <= 1.0 for a in alphas):
         raise ScenarioError("alpha_out grid must lie within (0.05, 1.0]")
+    _require_positive("i_c", i_c)
+    _require_positive("f_plasma", f_plasma)
+    _require_positive("n_tail_periods", n_tail_periods)
     if n_jtl is None:
         n_jtl = int(round(4 * lambda_j))
     omega_p = 2.0 * math.pi * f_plasma
@@ -418,10 +428,10 @@ def run_bandwidth_sweep(
     **kwargs,
 ) -> ScenarioReport:
     """Flat-top FWHM vs pulse-pair count at the fixed 15 GHz circuit."""
-    n_list = [int(n) for n in n_pairs_list]
     for n in n_pairs_list:
-        if n != int(n):
+        if not float(n).is_integer():
             raise ScenarioError(f"n_pairs_list value {n!r} is not a whole number")
+    n_list = [int(n) for n in n_pairs_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ScenarioError("n_pairs_list must be non-empty and ascending")
     omega_p = 2.0 * math.pi * f_plasma
@@ -482,13 +492,15 @@ def run_efficiency_map(
     alpha_in: float = MAP_ALPHA_IN,
     damping_quality: float = MAP_DAMPING_QUALITY,
     jobs: int | None = None,
-    dt_divisor: int = 200,
+    dt_divisor: int = DEFAULT_DT_DIVISOR,
 ) -> ScenarioReport:
     """Energy-efficiency matrix over (i_c, omega_p) for one protocol."""
     i_c_grid = [float(x) for x in i_c_grid]
     omega_p_grid = [float(x) for x in omega_p_grid]
     if not i_c_grid or not omega_p_grid:
         raise ScenarioError("efficiency map grids must be non-empty")
+    _require_positive("i_c_grid", *i_c_grid)
+    _require_positive("omega_p_grid", *omega_p_grid)
     if protocol not in ("flat_top", "gaussian"):
         raise ScenarioError(f"unknown protocol {protocol!r}")
     points = [(i_c, omega_p) for omega_p in omega_p_grid for i_c in i_c_grid]
@@ -545,7 +557,9 @@ def _table1_row(row, protocol: str, dt_divisor: int) -> RunResult:
     )
 
 
-def run_table1(jobs: int | None = None, dt_divisor: int = 200) -> ScenarioReport:
+def run_table1(
+    jobs: int | None = None, dt_divisor: int = DEFAULT_DT_DIVISOR
+) -> ScenarioReport:
     """All eight performance-table rows with per-row pass/fail, computed on
     up to ``jobs`` processes."""
     tasks = [(row, "flat_top", dt_divisor) for row in TABLE1_FLAT_TOP]

@@ -9,10 +9,9 @@ oscillation they pump.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +34,10 @@ class Pulse:
     width: float
 
     def __post_init__(self) -> None:
-        if not (self.width > 0.0):
-            raise ValueError(f"pulse width must be positive, got {self.width!r}")
+        if not 0.0 < self.width < math.inf:
+            raise ValueError(
+                f"pulse width must be finite and positive, got {self.width!r}"
+            )
 
     @property
     def peak(self) -> float:
@@ -45,7 +46,7 @@ class Pulse:
     def voltage(self, t):
         """Evaluate the pulse at time(s) ``t`` (scalar or ndarray), volts."""
         x = (np.asarray(t, dtype=float) - self.t_center) / self.width
-        # 1/cosh computed via exp to stay finite for large |x|
+        # clipping keeps cosh finite for large |x|; beyond it the pulse is 0
         return self.peak / np.cosh(np.clip(x, -700.0, 700.0))
 
 
@@ -55,7 +56,6 @@ class PulseTrain:
 
     pulses: tuple[Pulse, ...]
     duration: float
-    balanced: bool = False
 
     def __post_init__(self) -> None:
         centers = [p.t_center for p in self.pulses]
@@ -68,18 +68,10 @@ class PulseTrain:
                     f"duration {self.duration!r} < last t_center + 5 width {tail!r}"
                 )
 
-    def voltage(self, t):
-        """Superposition of all pulses at time(s) ``t``."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for p in self.pulses:
-            out += p.voltage(t)
-        return out
-
     def sample(self, t: np.ndarray) -> np.ndarray:
-        """Like :meth:`voltage` but assembles each pulse only on the grid
-        points within 26 widths of its center (sech there is < 1e-11 of peak).
-        Intended for long uniform grids."""
+        """Superposition of all pulses on the sorted grid ``t``, each pulse
+        assembled only on the points within 26 widths of its center (sech
+        there is < 1e-11 of peak)."""
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         for p in self.pulses:
@@ -89,39 +81,29 @@ class PulseTrain:
                 out[lo:hi] += p.voltage(t[lo:hi])
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PulseTrain":
-        payload = json.loads(text)
-        pulses = tuple(Pulse(**entry) for entry in payload["pulses"])
-        return cls(pulses=pulses, duration=payload["duration"],
-                   balanced=payload.get("balanced", False))
-
 
 @dataclass(frozen=True)
 class PhaseEnvelope:
     """Target phase extremum magnitudes, one per half-cycle of the train.
 
     theta[k] is the |phase| the junction should reach on half-cycle k; the
-    compiler alternates the sign.  ``shape`` is a descriptive tag only.
+    compiler alternates the sign.
     """
 
     theta: tuple[float, ...]
-    shape: str = "custom"
 
     def __post_init__(self) -> None:
-        if any(th < 0.0 for th in self.theta):
-            raise ValueError("phase extremum magnitudes must be >= 0")
-        if self.shape == "flat_top" and len(set(self.theta[1:-1])) > 1:
-            raise ValueError("flat_top envelope requires equal interior theta")
+        for th in self.theta:
+            if not 0.0 <= th < math.inf:
+                raise ValueError(
+                    f"phase extremum magnitudes must be finite and >= 0, got {th!r}"
+                )
 
     @classmethod
     def flat_top(cls, n_half_cycles: int, theta: float = math.pi) -> "PhaseEnvelope":
         if n_half_cycles < 1:
             raise ValueError("n_half_cycles must be >= 1")
-        return cls(theta=(theta,) * n_half_cycles, shape="flat_top")
+        return cls(theta=(theta,) * n_half_cycles)
 
     @classmethod
     def gaussian(
@@ -130,24 +112,25 @@ class PhaseEnvelope:
         peak: float = math.pi,
         sigma: float | None = None,
     ) -> "PhaseEnvelope":
-        """Gaussian envelope centered mid-train; sigma defaults to M/6."""
+        """Gaussian envelope centered mid-train; sigma defaults to M/6 and
+        must be finite and positive."""
         if n_half_cycles < 1:
             raise ValueError("n_half_cycles must be >= 1")
         m = n_half_cycles
         if sigma is None:
             sigma = m / 6.0
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
         center = (m + 1) / 2.0
         theta = tuple(
             peak * math.exp(-((k - center) ** 2) / (2.0 * sigma**2))
             for k in range(1, m + 1)
         )
-        return cls(theta=theta, shape="gaussian")
+        return cls(theta=theta)
 
 
 def sech_pulse(area: float, width: float, t_center: float = 0.0) -> Pulse:
     """A sech voltage pulse of given signed flux and time constant."""
-    if not (width > 0.0):
-        raise ValueError(f"width must be positive, got {width!r}")
     return Pulse(t_center=t_center, area=area, width=width)
 
 
@@ -192,21 +175,17 @@ def compile_envelope(
     spacing: float,
     width: float,
     t_start: float = 0.0,
-    polarity: int = 1,
 ) -> PulseTrain:
-    """Map target phase extrema to a balanced train of signed sech pulses.
+    """Map target phase extrema to a train of signed sech pulses.
 
     With signed targets s_k = (-1)^(k+1) theta_k (s_0 = s_{M+1} = 0), pulse k
     carries area (s_k - s_{k-1}) Phi0/(2 pi) at t_start + (k-1) spacing.
     M extrema produce M+1 pulses whose areas sum to zero exactly, so the
-    equilibrium phase returns to zero after the train.  ``polarity`` = -1
-    starts with an antifluxoid instead, negating every area.
+    equilibrium phase returns to zero after the train.
     """
     m = len(envelope.theta)
     if m == 0:
         raise ValueError("envelope must contain at least one half-cycle")
-    if polarity not in (1, -1):
-        raise ValueError("polarity must be +1 or -1")
     if spacing <= 2.0 * width:
         warnings.warn(
             f"pulse spacing {spacing:.3g} s <= 2 widths ({2 * width:.3g} s): "
@@ -215,8 +194,7 @@ def compile_envelope(
         )
     signed = [0.0]
     signed += [
-        polarity * (-1.0) ** (k + 1) * th
-        for k, th in enumerate(envelope.theta, start=1)
+        (-1.0) ** (k + 1) * th for k, th in enumerate(envelope.theta, start=1)
     ]
     pulses = []
     for k in range(1, m + 1):
@@ -227,4 +205,4 @@ def compile_envelope(
     closing = -sum(p.area for p in pulses)
     pulses.append(Pulse(t_center=t_start + m * spacing, area=closing, width=width))
     duration = pulses[-1].t_center + 5.0 * width
-    return PulseTrain(pulses=tuple(pulses), duration=duration, balanced=True)
+    return PulseTrain(pulses=tuple(pulses), duration=duration)

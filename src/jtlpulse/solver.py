@@ -44,19 +44,6 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LatticeState:
-    """Instantaneous lattice state: phases, node voltages, time."""
-
-    phi: np.ndarray
-    v: np.ndarray
-    t: float
-
-    def __post_init__(self) -> None:
-        if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.v))):
-            raise SolverError("lattice state contains non-finite values")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Time-gridded simulation record.
 
@@ -186,21 +173,6 @@ def _deriv(
     if g_r:
         i_cell -= u * g_r
     return inv_kflux * u, i_cell * inv_c
-
-
-def rhs(
-    state: LatticeState,
-    t: float,
-    circuit: CircuitParams,
-    drive: Callable[[float], float] | None = None,
-    boundaries: str = "ports",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative (dphi/dt, dv/dt) of a lattice state.
-
-    The same function ``simulate`` steps with, evaluated once at time t.
-    """
-    v_drive = float(drive(t)) if drive is not None else 0.0
-    return _deriv(state.phi, state.v, v_drive, _lattice(circuit, boundaries))
 
 
 def simulate(

@@ -54,31 +54,13 @@ class TestPsd:
         time_domain = np.sum(x**2) * dt
         assert spectral == pytest.approx(time_domain, rel=1e-9)
 
-    def test_non_uniform_grid_rejected(self):
-        t = np.concatenate([np.linspace(0, 1e-9, 300), [2e-9]])
-        with pytest.raises(AnalysisError, match="uniform"):
-            psd(np.zeros(301), times=t)
-
     def test_short_record_rejected(self):
         with pytest.raises(AnalysisError, match="256"):
             psd(np.zeros(100), 1e-12)
 
     def test_dc_record_has_no_peak(self):
         sp = psd(np.ones(512), 1e-12, pad_factor=1)
-        assert not sp.has_peak
-
-    def test_time_shift_invariance(self):
-        # shifting the grid origin re-derives dt to the last ulp only
-        t, x = _tone()
-        a = psd(x, times=t)
-        b = psd(x, times=t + 7.7e-9)
-        assert a.f0 == pytest.approx(b.f0, rel=1e-9)
-        assert np.allclose(a.psd, b.psd, rtol=1e-6)
-
-    def test_hann_window(self):
-        t, x = _tone(f0=20.3e9)  # non-integer periods: hann tames leakage
-        sp = psd(x, 2.5e-12, window="hann")
-        assert sp.f0 == pytest.approx(20.3e9, rel=2e-3)
+        assert sp.f0 is None
 
 
 class TestPowerWaves:

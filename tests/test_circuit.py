@@ -13,7 +13,6 @@ from jtlpulse.circuit import (
     CircuitParams,
     ParameterError,
     derive,
-    energy_scales,
     reflection_thresholds,
     solve_geometry,
 )
@@ -98,13 +97,8 @@ class TestValidation:
 
 
 class TestReflectionThresholds:
-    def test_printed_values_at_075(self):
-        a0, ainf = reflection_thresholds(0.75, "as_printed")
-        assert a0 == pytest.approx(0.0919, rel=2e-3)
-        assert ainf == pytest.approx(8.86, rel=2e-3)
-
     def test_quoted_consistent_at_075(self):
-        a0, ainf = reflection_thresholds(0.75, "quoted_consistent")
+        a0, ainf = reflection_thresholds(0.75)
         assert ainf == pytest.approx(4.54, rel=2e-3)
         # alpha_0 keeps the printed form; the quoted 0.075 is not reproduced
         assert a0 == pytest.approx(0.0919, rel=2e-3)
@@ -113,10 +107,9 @@ class TestReflectionThresholds:
         a0, _ = reflection_thresholds(1e-6)
         assert a0 < 1e-6
 
-    @pytest.mark.parametrize("variant", ["as_printed", "quoted_consistent"])
-    def test_ordering_and_monotonicity(self, variant):
+    def test_ordering_and_monotonicity(self):
         grid = np.linspace(0.01, 0.99, 197)
-        a0s, ainfs = zip(*(reflection_thresholds(v, variant) for v in grid))
+        a0s, ainfs = zip(*(reflection_thresholds(v) for v in grid))
         assert all(a0 < ainf for a0, ainf in zip(a0s, ainfs))
         assert all(b > a for a, b in zip(a0s, a0s[1:]))
 
@@ -130,10 +123,8 @@ class TestEnergyScales:
     def test_row2_rest_energy(self):
         # 8 E_J lambda_J with E_J = Phi0 I_C / 2 pi = 1.3164e-21 J at 4 uA
         d = derive(_row2_circuit())
-        e_0, pair = energy_scales(d)
         assert d.e_j == pytest.approx(1.3164e-21, rel=1e-3)
-        assert e_0 == pytest.approx(3.34e-20, rel=5e-3)
-        assert pair == 2.0 * e_0
+        assert d.e_0 == pytest.approx(3.34e-20, rel=5e-3)
 
     def test_linearity_in_lambda(self):
         base = solve_geometry(4e-6, 2.0, 2 * math.pi * 15e9, 5.0, 0.25, 5)

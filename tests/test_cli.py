@@ -129,6 +129,28 @@ class TestRun:
         assert "dt_divisor" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario, line, named", [
+        ("gaussian", "sigma = 0", "sigma"),
+        ("gaussian", "sigma = -2", "sigma"),
+        ("flat_top", "i_c = 0", "i_c"),
+        ("flat_top", "theta_peak = nan", "nan"),
+        ("flat_top", "width = inf", "width"),
+        ("single_fluxon", "i_c = 0", "i_c"),
+        ("single_fluxon", "f_plasma = 0", "f_plasma"),
+        ("single_fluxon", "n_tail_periods = -100", "n_tail_periods"),
+        ("efficiency_map", "i_c_grid = 0, 3e-6", "i_c_grid"),
+        ("efficiency_map", "omega_p_grid = 0", "omega_p_grid"),
+        ("bandwidth_sweep", "n_pairs_list = 5, inf", "n_pairs_list"),
+    ])
+    def test_bad_scenario_input_is_a_config_error(
+        self, tmp_path, capsys, scenario, line, named
+    ):
+        out = tmp_path / "out"
+        config = _write(tmp_path, f"[scenario]\nid = {scenario}\n{line}\n")
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stable_column_order(self, row2_config, tmp_path, capsys):
         main(["run", "--config", row2_config, "--out", str(tmp_path / "o")])
         line = [

@@ -9,11 +9,11 @@ from jtlpulse.circuit import PHI0, CircuitParams, derive, solve_geometry
 from jtlpulse import solver
 from jtlpulse.pulses import PulseTrain, sech_pulse
 from jtlpulse.solver import (
-    LatticeState,
     SolverError,
     dispersion_check,
-    rhs,
     simulate,
+    _deriv,
+    _lattice,
     _zero_crossing_frequency,
 )
 
@@ -26,8 +26,7 @@ def _circuit(n_jtl=13, r_n=None, f_p=15e9, lam=3.17, i_c=4e-6):
 class TestRhs:
     def test_vacuum_equilibrium(self):
         c = _circuit()
-        state = LatticeState(phi=np.zeros(13), v=np.zeros(13), t=0.0)
-        dphi, dv = rhs(state, 0.0, c)
+        dphi, dv = _deriv(np.zeros(13), np.zeros(13), 0.0, _lattice(c, "ports"))
         assert np.all(dphi == 0.0)
         assert np.all(dv == 0.0)
 
@@ -35,8 +34,8 @@ class TestRhs:
         # uniform 2 pi with open boundaries is an equilibrium up to the
         # floating point residue of sin(2 pi)
         c = _circuit()
-        state = LatticeState(phi=np.full(13, 2 * math.pi), v=np.zeros(13), t=0.0)
-        dphi, dv = rhs(state, 0.0, c, boundaries="open")
+        phi = np.full(13, 2 * math.pi)
+        dphi, dv = _deriv(phi, np.zeros(13), 0.0, _lattice(c, "open"))
         scale = c.i_c / c.c_j
         assert np.all(dphi == 0.0)
         assert np.max(np.abs(dv)) < 1e-12 * scale
@@ -45,9 +44,7 @@ class TestRhs:
         c = _circuit()
         v = np.zeros(13)
         v[0], v[-1] = 2e-6, 3e-6
-        state = LatticeState(phi=np.zeros(13), v=v, t=0.0)
-        drive = lambda t: 10e-6
-        dphi, dv = rhs(state, 0.0, c, drive=drive)
+        dphi, dv = _deriv(np.zeros(13), v, 10e-6, _lattice(c, "ports"))
         # left: (V_drive - v1)/z_in ; right: -vN/z_out (minus damping terms)
         expect_left = ((10e-6 - 2e-6) / c.z_in - 2e-6 / c.r_n) / c.c_j
         expect_right = (-3e-6 / c.z_out - 3e-6 / c.r_n) / c.c_j
@@ -66,11 +63,9 @@ class TestRhs:
         )
         phi = rng.normal(0, 1, 13)
         v = rng.normal(0, 1e-5, 13)
-        d1 = rhs(LatticeState(phi=phi, v=v, t=0.0), 0.0, c)
-        d2 = rhs(
-            LatticeState(phi=phi[::-1].copy(), v=v[::-1].copy(), t=0.0),
-            0.0,
-            mirrored,
+        d1 = _deriv(phi, v, 0.0, _lattice(c, "ports"))
+        d2 = _deriv(
+            phi[::-1].copy(), v[::-1].copy(), 0.0, _lattice(mirrored, "ports")
         )
         assert np.allclose(d1[0][::-1], d2[0], rtol=1e-13, atol=0)
         assert np.allclose(d1[1][::-1], d2[1], rtol=1e-13, atol=1e-20)
@@ -184,7 +179,7 @@ class TestSimulate:
         traj = simulate(c, train, 5e-10)
         # incident-wave convention: source EMF is twice the train waveform
         assert np.max(traj.v_source) == pytest.approx(
-            2 * train.voltage(np.array([1e-10]))[0], rel=1e-2
+            2 * train.sample(np.array([1e-10]))[0], rel=1e-2
         )
         assert np.allclose(
             traj.i_in, (traj.v_source - traj.v[0]) / c.z_in, rtol=1e-12
