@@ -20,7 +20,6 @@ from .pulses import (
     schedule_spacing,
     sech_pulse,
     single_fluxon_width,
-    train_pulse_width,
 )
 from .solver import SolverError, Trajectory, dispersion_check, simulate
 from .analysis import (

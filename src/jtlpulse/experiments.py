@@ -9,7 +9,8 @@ conventions appear here, reflecting how the drive reaches the line:
   wave).
 * ``drive_model="source"`` -- the pulse generator at the input port sets the
   port EMF (the performance-table trains).  An EMF V behind z_in is the
-  incident wave V/2, so these run as the incident train at half area.
+  incident wave V/2, so these run as the incident train compiled at half
+  the peak phase, which halves every pulse area exactly.
 
 Junction damping also follows the physical architecture: the pulse-train
 width anchor is the shunted generator junction (R_SFQ, making the
@@ -48,7 +49,6 @@ from .pulses import (
     schedule_spacing,
     sech_pulse,
     single_fluxon_width,
-    train_pulse_width,
 )
 from .solver import DEFAULT_DT_DIVISOR, MIN_DT_DIVISOR, Trajectory, simulate
 from .analysis import (
@@ -148,6 +148,14 @@ def _require_positive(name: str, *values: float) -> None:
             raise ScenarioError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _damping_r_n(i_c: float, omega_p: float, quality: float) -> float:
+    """Line-junction damping resistance: ``quality`` times sqrt(l_j/c_j) of
+    the junction with critical current i_c and plasma frequency omega_p."""
+    l_j = PHI0 / (2.0 * math.pi * i_c)
+    c_j = 1.0 / (omega_p**2 * l_j)
+    return quality * math.sqrt(l_j / c_j)
+
+
 def _jtl_length(lambda_j: float) -> int:
     """Line length minimizing the input impedance seen past the input port."""
     return int(min(5, max(4, round(1.66 * lambda_j))))
@@ -241,15 +249,18 @@ def run_fluxoid_train(
     """One fluxoid-pair-train run: build, settle, measure.
 
     ``n_pairs`` pulse pairs means 2 n_pairs alternating pulses compiled from
-    2 n_pairs - 1 phase extrema, so the train is balanced.  The drive pulse
-    full width defaults to the junction L/R relaxation time tau_lr (30.71 ps
-    at 3 uA), realized as a sech time constant tau_lr/(2 pi) since the sech
-    extent above a tenth of its peak spans ~2 pi time constants.
+    2 n_pairs - 1 phase extrema, so the train is balanced.  The sech time
+    constant of the drive pulses defaults to l_j / R_SFQ, the generator
+    junction's, whatever the line's r_n: a full width Phi0/(i_c R_SFQ) of
+    30.71 ps at 3 uA, since the sech extent above a tenth of its peak spans
+    ~2 pi time constants.
     """
     if n_pairs < 1:
         raise ScenarioError(f"n_pairs must be >= 1, got {n_pairs}")
     if drive_model not in ("source", "incident"):
         raise ScenarioError(f"unknown drive_model {drive_model!r}")
+    _require_positive("theta_peak", theta_peak)
+    _require_positive("lambda_j", lambda_j)
     if n_jtl is None:
         n_jtl = _jtl_length(lambda_j)
     circuit = solve_geometry(
@@ -257,20 +268,19 @@ def run_fluxoid_train(
     )
     derived = derive(circuit)
     if width is None:
-        width = train_pulse_width(derived) / (2.0 * math.pi)
+        width = derived.l_j / R_SFQ
     spacing = schedule_spacing(derived, spacing_multiple)
     m = 2 * n_pairs - 1
+    # halving the phase halves every pulse area exactly, so the solver's
+    # Thevenin doubling of a source-model train samples the source EMF
+    theta = 0.5 * theta_peak if drive_model == "source" else theta_peak
     if shape == "flat_top":
-        envelope = PhaseEnvelope.flat_top(m, theta_peak)
+        envelope = PhaseEnvelope.flat_top(m, theta)
     elif shape == "gaussian":
-        envelope = PhaseEnvelope.gaussian(m, peak=theta_peak, sigma=sigma)
+        envelope = PhaseEnvelope.gaussian(m, peak=theta, sigma=sigma)
     else:
         raise ScenarioError(f"unknown train shape {shape!r}")
     train = compile_envelope(envelope, spacing, width, t_start=5.0 * width)
-    if drive_model == "source":
-        # exact halving: the solver's Thevenin doubling samples the same EMF
-        half = tuple(replace(p, area=0.5 * p.area) for p in train.pulses)
-        train = replace(train, pulses=half)
     seq_duration = (m + 1) * spacing
     t_tail0 = 30.0 * 2.0 * math.pi / derived.omega_p
     traj, e_in = _simulate_settled(circuit, train, t_tail0, dt_divisor=dt_divisor)
@@ -360,12 +370,11 @@ def run_single_fluxon(
     _require_positive("i_c", i_c)
     _require_positive("f_plasma", f_plasma)
     _require_positive("n_tail_periods", n_tail_periods)
+    _require_positive("lambda_j", lambda_j)
     if n_jtl is None:
         n_jtl = int(round(4 * lambda_j))
     omega_p = 2.0 * math.pi * f_plasma
-    l_j = PHI0 / (2.0 * math.pi * i_c)
-    c_j = 1.0 / (omega_p**2 * l_j)
-    r_n = damping_quality * math.sqrt(l_j / c_j)
+    r_n = _damping_r_n(i_c, omega_p, damping_quality)
     runs = []
     for a in alphas:
         circuit = solve_geometry(i_c, lambda_j, omega_p, alpha_in, a, n_jtl, r_n)
@@ -469,14 +478,9 @@ def _map_point(
     i_c: float, omega_p: float, protocol: str, alpha_in: float, quality: float,
     dt_divisor: int,
 ) -> float:
-    l_j = PHI0 / (2.0 * math.pi * i_c)
-    c_j_ref = 1.0 / (omega_p**2 * l_j)
-    r_n = quality * math.sqrt(l_j / c_j_ref)
-    width = l_j / R_SFQ
     # each protocol's runner defaults give its pair count and lambda_j
-    runner = run_flat_top if protocol == "flat_top" else run_gaussian
-    run = runner(
-        i_c, omega_p, alpha_in=alpha_in, r_n=r_n, width=width,
+    run = SCENARIOS[protocol](
+        i_c, omega_p, alpha_in=alpha_in, r_n=_damping_r_n(i_c, omega_p, quality),
         drive_model="incident", dt_divisor=dt_divisor, keep_spectrum=False,
     )
     return run.eta
@@ -533,9 +537,8 @@ def _table1_row(row, protocol: str, dt_divisor: int) -> RunResult:
     i_c, l, c_j, n_pairs, f0_ghz, fwhm_mhz, p_in_nw, p_band_dbm = row
     l_j = PHI0 / (2.0 * math.pi * i_c)
     omega_p = 1.0 / math.sqrt(l_j * c_j)
-    runner = run_flat_top if protocol == "flat_top" else run_gaussian
-    run = runner(i_c, omega_p, n_pairs, l=l, c_j=c_j, dt_divisor=dt_divisor,
-                 keep_spectrum=False)
+    run = SCENARIOS[protocol](i_c, omega_p, n_pairs, l=l, c_j=c_j,
+                              dt_divisor=dt_divisor, keep_spectrum=False)
     tol = TABLE1_TOLERANCES
     checks = {
         "f0": abs(run.f0 / 1e9 - f0_ghz) <= tol["f0"] * f0_ghz,

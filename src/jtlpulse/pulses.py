@@ -149,12 +149,6 @@ def single_fluxon_width(derived: DerivedParams, v_tilde: float) -> float:
     )
 
 
-def train_pulse_width(derived: DerivedParams) -> float:
-    """Full drive pulse width for fluxoid trains, the junction L/R time;
-    the sech time constant (``Pulse.width``) is this over 2 pi."""
-    return derived.tau_lr
-
-
 def schedule_spacing(derived: DerivedParams, half_period_multiple: int = 1) -> float:
     """Center-to-center pulse spacing: an odd multiple of pi/omega_p.
 

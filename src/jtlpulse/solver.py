@@ -18,15 +18,13 @@ A line carrying incident wave V presents, at its end, a Thevenin source of
 open-circuit voltage 2 V in series with the line impedance, so the solver
 drives V_drive(t) = 2 V_incident(t).  The forward input wave recovered from
 the port record, (v_1 + z_in i_in)/(2 sqrt(z_in)) = V_drive/(2 sqrt(z_in)),
-is then exactly the incident wave amplitude.  Raw callables bypass the
-doubling: they are taken as the literal Thevenin source V_drive(t).
+is then exactly the incident wave amplitude.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -177,7 +175,7 @@ def _deriv(
 
 def simulate(
     circuit: CircuitParams,
-    drive: PulseTrain | Callable[[np.ndarray], np.ndarray] | None,
+    drive: PulseTrain | None,
     t_end: float,
     dt: float | None = None,
     *,
@@ -185,6 +183,10 @@ def simulate(
     initial_phi: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate the lattice under ``drive`` from t = 0 to (at least) t_end.
+
+    ``drive`` is the incident wave on the input line, sampled on the RK4
+    half-step grid and doubled into the port's Thevenin EMF; None leaves the
+    port undriven.  t_end must exceed the drive's duration.
 
     dt defaults to a two-hundredth of the plasma period and must be positive
     and at most a MIN_DT_DIVISOR-th of it.  The voltages start at zero, and
@@ -202,7 +204,7 @@ def simulate(
             f"dt = {dt:.3e} s is not in (0, (2 pi / omega_p)/{MIN_DT_DIVISOR}"
             f" = {t_plasma / MIN_DT_DIVISOR:.3e} s]"
         )
-    if isinstance(drive, PulseTrain) and t_end <= drive.duration:
+    if drive is not None and t_end <= drive.duration:
         raise SolverError(
             f"t_end = {t_end:.3e} s does not cover the drive duration "
             f"{drive.duration:.3e} s"
@@ -214,13 +216,9 @@ def simulate(
     half_t = 0.5 * dt * np.arange(2 * n_steps + 1)
     if drive is None:
         v_drive = np.zeros(half_t.size)
-    elif isinstance(drive, PulseTrain):
+    else:
         # incident wave -> Thevenin open-circuit voltage of the input line
         v_drive = 2.0 * drive.sample(half_t)
-    else:
-        v_drive = np.asarray(drive(half_t), dtype=float)
-        if v_drive.shape != half_t.shape:
-            raise SolverError("drive callable must return one sample per time")
 
     phi = np.zeros(n) if initial_phi is None else np.array(initial_phi, dtype=float)
     v = np.zeros(n)
@@ -259,9 +257,6 @@ def simulate(
             )
 
     times = dt * np.arange(n_steps + 1)
-    drive_end = 0.0
-    if isinstance(drive, PulseTrain):
-        drive_end = drive.duration
     return Trajectory(
         times=times,
         phi=phi_out,
@@ -269,7 +264,7 @@ def simulate(
         v_source=v_drive[::2].copy(),
         circuit=circuit,
         derived=derived,
-        drive_end=drive_end,
+        drive_end=0.0 if drive is None else drive.duration,
     )
 
 

@@ -134,10 +134,13 @@ class TestRun:
         ("gaussian", "sigma = -2", "sigma"),
         ("flat_top", "i_c = 0", "i_c"),
         ("flat_top", "theta_peak = nan", "nan"),
+        ("flat_top", "theta_peak = 0", "theta_peak"),
+        ("flat_top", "lambda_j = nan", "lambda_j"),
         ("flat_top", "width = inf", "width"),
         ("single_fluxon", "i_c = 0", "i_c"),
         ("single_fluxon", "f_plasma = 0", "f_plasma"),
         ("single_fluxon", "n_tail_periods = -100", "n_tail_periods"),
+        ("single_fluxon", "lambda_j = nan", "lambda_j"),
         ("efficiency_map", "i_c_grid = 0, 3e-6", "i_c_grid"),
         ("efficiency_map", "omega_p_grid = 0", "omega_p_grid"),
         ("bandwidth_sweep", "n_pairs_list = 5, inf", "n_pairs_list"),

@@ -99,9 +99,12 @@ class TestTrainScenarios:
         with pytest.raises(ScenarioError):
             run_flat_top(4e-6, 2 * math.pi * 19.6e9, 0)
 
-    def test_drive_width_anchor(self):
-        # full pulse width 2 pi tau_sech equals tau_lr: 30.71 ps at 3 uA
-        run = run_flat_top(3e-6, 2 * math.pi * 17e9, 5, keep_spectrum=False)
+    @pytest.mark.parametrize("r_n", [None, 20.0], ids=["default_r_n", "r_n_20"])
+    def test_drive_width_anchor(self, r_n):
+        # the generator junction sets the width whatever the line's r_n:
+        # full pulse width 2 pi tau_sech = Phi0/(i_c R_SFQ) = 30.71 ps at 3 uA
+        kwargs = {} if r_n is None else {"r_n": r_n}
+        run = run_flat_top(3e-6, 2 * math.pi * 17e9, 5, keep_spectrum=False, **kwargs)
         assert 2 * math.pi * run.config["width"] == pytest.approx(
             30.71e-12, rel=1e-3
         )

@@ -16,13 +16,11 @@ from jtlpulse.pulses import (
     schedule_spacing,
     sech_pulse,
     single_fluxon_width,
-    train_pulse_width,
 )
 
 
-def _derived(f_p=15e9, i_c=4e-6, lam=3.17, r_n=None):
-    kwargs = {} if r_n is None else {"r_n": r_n}
-    return derive(solve_geometry(i_c, lam, 2 * math.pi * f_p, 5.0, 0.25, 5, **kwargs))
+def _derived(f_p=15e9, i_c=4e-6, lam=3.17):
+    return derive(solve_geometry(i_c, lam, 2 * math.pi * f_p, 5.0, 0.25, 5))
 
 
 class TestSechPulse:
@@ -78,19 +76,6 @@ class TestWidthRules:
     def test_velocity_domain(self, bad):
         with pytest.raises(ValueError):
             single_fluxon_width(_derived(), bad)
-
-    def test_train_width_is_junction_lr_time(self):
-        d = _derived(i_c=3e-6, r_n=3.5722)
-        assert train_pulse_width(d) == pytest.approx(30.71e-12, rel=1e-4)
-
-    def test_train_width_scales(self):
-        # doubling r_n halves the width; i_c = 6 uA at 3.57 Ohm gives 15.36 ps
-        d6 = _derived(i_c=6e-6, r_n=3.5722)
-        assert train_pulse_width(d6) == pytest.approx(15.36e-12, rel=1e-3)
-        d_double = _derived(i_c=3e-6, r_n=2 * 3.5722)
-        assert train_pulse_width(d_double) == pytest.approx(
-            30.71e-12 / 2, rel=1e-4
-        )
 
 
 class TestScheduleSpacing:
