@@ -19,12 +19,29 @@ open-circuit voltage 2 V in series with the line impedance, so the solver
 drives V_drive(t) = 2 V_incident(t).  The forward input wave recovered from
 the port record, (v_1 + z_in i_in)/(2 sqrt(z_in)) = V_drive/(2 sqrt(z_in)),
 is then exactly the incident wave amplitude.
+
+The stepping loop runs in C: _rk4.c transcribes ``_deriv`` and the numpy
+loop ``_rk4_numpy`` operation for operation, and is built without FMA
+contraction, so both loops give bit-identical trajectories.  On the first
+``simulate`` call the source is compiled with the C compiler Python was
+built with (sysconfig's CC, else ``cc``) into $XDG_CACHE_HOME/jtlpulse
+(default ~/.cache/jtlpulse), under a name keyed by the source and the flags,
+and later calls and processes load that library.  If it cannot be built or
+loaded, or the C library's sin differs from np.sin, one logged warning says
+so and the numpy loop runs instead.
 """
 
 from __future__ import annotations
 
+import ctypes
+import logging
 import math
+import os
+import subprocess
+import tempfile
+import zlib
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +52,14 @@ DEFAULT_DT_DIVISOR = 200
 # Coarsest step: a hundredth of the plasma period.
 MIN_DT_DIVISOR = 100
 _CSV_BLOCK_ROWS = 1 << 16
+_RK4_SOURCE = Path(__file__).with_name("_rk4.c")
+# No FMA contraction (or fast-math): the C loop must round like numpy.
+_RK4_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_UNLOADED = object()
+# The compiled RK4 loop, set on the first simulate call; None runs the numpy
+# loop.
+_kernel = _UNLOADED
+_log = logging.getLogger(__name__)
 
 
 class SolverError(RuntimeError):
@@ -138,7 +163,8 @@ def _write_csv(path, header: list[str], cols: list[np.ndarray]) -> None:
 
 
 def _lattice(circuit: CircuitParams, boundaries: str) -> tuple:
-    """Constants of the lattice derivative, in the order ``_deriv`` reads them."""
+    """Constants of the lattice derivative, in the order ``_deriv`` reads them;
+    entries 1-7 are also the ``lat`` array of _rk4.c, 8-9 its two flags."""
     if boundaries not in ("ports", "periodic", "open"):
         raise ValueError(f"unknown boundaries {boundaries!r}")
     k_flux = PHI0 / (2.0 * math.pi)
@@ -194,6 +220,10 @@ def simulate(
     validation tests only).  The state is checked every 64 steps and on the
     last step; a non-finite phase or voltage raises SolverError with the
     failing step index.
+
+    The checks and the drive sampling run here; only the stepping loop
+    dispatches: to the compiled kernel of _rk4.c when it loads, else to
+    ``_rk4_numpy``, the reference.  Both give bit-identical trajectories.
     """
     derived = derive(circuit)
     t_plasma = 2.0 * math.pi / derived.omega_p
@@ -221,17 +251,56 @@ def simulate(
         v_drive = 2.0 * drive.sample(half_t)
 
     phi = np.zeros(n) if initial_phi is None else np.array(initial_phi, dtype=float)
-    v = np.zeros(n)
     if phi.shape != (n,):
         raise SolverError("initial_phi size must match n_jtl")
 
     phi_out = np.empty((n, n_steps + 1))
     v_out = np.empty((n, n_steps + 1))
     phi_out[:, 0] = phi
-    v_out[:, 0] = v
+    v_out[:, 0] = 0.0
 
     lattice = _lattice(circuit, boundaries)
-    check_every = 64
+    kernel = _rk4_kernel()
+    if kernel is None:
+        bad_step = _rk4_numpy(phi_out, v_out, v_drive, dt, lattice)
+    else:
+        # the kernel takes raw addresses: every array must stay referenced
+        v_drive = np.ascontiguousarray(v_drive, dtype=float)
+        work = np.empty(12 * n)
+        bad_step = kernel(
+            n, n_steps, dt, (ctypes.c_double * 7)(*lattice[1:8]), *lattice[8:],
+            v_drive.ctypes.data, phi_out.ctypes.data, v_out.ctypes.data,
+            work.ctypes.data,
+        )
+    if bad_step >= 0:
+        raise SolverError(
+            f"non-finite state at step {bad_step + 1} "
+            f"(t = {(bad_step + 1) * dt:.3e} s), "
+            f"max |phi| = {np.nanmax(np.abs(phi_out[:, : bad_step + 1])):.3e}"
+        )
+
+    times = dt * np.arange(n_steps + 1)
+    return Trajectory(
+        times=times,
+        phi=phi_out,
+        v=v_out,
+        v_source=v_drive[::2].copy(),
+        circuit=circuit,
+        derived=derived,
+        drive_end=0.0 if drive is None else drive.duration,
+    )
+
+
+def _rk4_numpy(
+    phi_out: np.ndarray, v_out: np.ndarray, v_drive: np.ndarray, dt: float,
+    lattice: tuple,
+) -> int:
+    """The reference RK4 loop: advance from column 0 of phi_out/v_out and
+    fill the rest.  Returns -1, or the 0-based step after which the state
+    was non-finite (checked every 64 steps and on the last)."""
+    phi = phi_out[:, 0].copy()
+    v = v_out[:, 0].copy()
+    n_steps = phi_out.shape[1] - 1
     last = n_steps - 1
     sixth = dt / 6.0
     half = dt / 2.0
@@ -247,25 +316,79 @@ def simulate(
         v = v + sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
         phi_out[:, step + 1] = phi
         v_out[:, step + 1] = v
-        if (step % check_every == 0 or step == last) and not (
+        if (step % 64 == 0 or step == last) and not (
             np.all(np.isfinite(phi)) and np.all(np.isfinite(v))
         ):
-            raise SolverError(
-                f"non-finite state at step {step + 1} "
-                f"(t = {(step + 1) * dt:.3e} s), "
-                f"max |phi| = {np.nanmax(np.abs(phi_out[:, : step + 1])):.3e}"
-            )
+            return step
+    return -1
 
-    times = dt * np.arange(n_steps + 1)
-    return Trajectory(
-        times=times,
-        phi=phi_out,
-        v=v_out,
-        v_source=v_drive[::2].copy(),
-        circuit=circuit,
-        derived=derived,
-        drive_end=0.0 if drive is None else drive.duration,
-    )
+
+def _rk4_kernel():
+    """The compiled RK4 loop, loaded on the first call; None if unavailable."""
+    global _kernel
+    if _kernel is _UNLOADED:
+        _kernel = _load_kernel()
+    return _kernel
+
+
+def _load_kernel():
+    """``jtl_rk4`` of _rk4.c from the user cache, compiled there on a miss.
+
+    The library's name carries a CRC-32 of the source and the compiler
+    flags, so an edited source never loads a stale build; a cache hit reads
+    the source and opens the library, and starts no process (hashlib is not
+    used: loading OpenSSL costs more than the whole hit).  The kernel is
+    refused if the C library's sin differs from np.sin, which would break
+    bit-identity with the numpy loop.  Any failure logs one warning and
+    returns None.
+    """
+    try:
+        source = _RK4_SOURCE.read_bytes()
+        key = zlib.crc32(source + " ".join(_RK4_CFLAGS).encode())
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+        path = cache / "jtlpulse" / f"rk4-{key:08x}.so"
+        if not path.exists():
+            _compile_kernel(path)
+        lib = ctypes.CDLL(str(path))
+        x = np.linspace(-50.0, 50.0, 4001)
+        libm_sin = np.empty_like(x)
+        lib.jtl_sin.argtypes = [ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
+        lib.jtl_sin(x.size, x.ctypes.data, libm_sin.ctypes.data)
+        if not np.array_equal(libm_sin, np.sin(x)):
+            raise OSError("the C library's sin differs from np.sin")
+        kernel = lib.jtl_rk4
+    except (OSError, AttributeError, RuntimeError, subprocess.SubprocessError) as exc:
+        _log.warning("compiled RK4 kernel unavailable (%s); using the numpy loop", exc)
+        return None
+    kernel.restype = ctypes.c_long
+    kernel.argtypes = [
+        ctypes.c_long, ctypes.c_long, ctypes.c_double, ctypes.c_void_p,
+        ctypes.c_int, ctypes.c_int, *[ctypes.c_void_p] * 4,
+    ]
+    return kernel
+
+
+def _compile_kernel(path: Path) -> None:
+    """Build _rk4.c into ``path`` through a temporary file and an atomic
+    rename, so concurrent builds never expose a partial library."""
+    import sysconfig  # only a cache miss needs it
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    try:
+        cc = (sysconfig.get_config_var("CC") or "cc").split()
+        try:
+            subprocess.run(
+                [*cc, *_RK4_CFLAGS, "-o", tmp, str(_RK4_SOURCE), "-lm"],
+                check=True, capture_output=True, text=True,
+            )
+        except subprocess.CalledProcessError as exc:
+            raise OSError(f"{cc[0]} failed: {exc.stderr.strip()}") from exc
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def dispersion_check(circuit: CircuitParams, k: float) -> float:

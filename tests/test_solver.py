@@ -1,9 +1,13 @@
 """Lattice dynamics: equilibria, conservation, dispersion, determinism."""
 
+import logging
 import math
+import subprocess
+import sysconfig
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jtlpulse.circuit import PHI0, CircuitParams, derive, solve_geometry
 from jtlpulse import solver
@@ -21,6 +25,33 @@ from jtlpulse.solver import (
 def _circuit(n_jtl=13, r_n=None, f_p=15e9, lam=3.17, i_c=4e-6):
     kwargs = {} if r_n is None else {"r_n": r_n}
     return solve_geometry(i_c, lam, 2 * math.pi * f_p, 5.0, 0.25, n_jtl, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    """The compiled RK4 loop; a test of the C path fails if it did not load."""
+    loaded = solver._rk4_kernel()
+    assert loaded is not None, "the compiled RK4 kernel did not load"
+    return loaded
+
+
+def _on_both_loops(monkeypatch, kernel):
+    """Yield once with the compiled loop in place, once with the numpy loop."""
+    for handle in (kernel, None):
+        monkeypatch.setattr(solver, "_kernel", handle)
+        yield
+
+
+def _assert_loops_identical(monkeypatch, kernel, *args, **kwargs):
+    """simulate(*args, **kwargs) gives the same bits on both loops."""
+    compiled, reference = [
+        simulate(*args, **kwargs) for _ in _on_both_loops(monkeypatch, kernel)
+    ]
+    for name in ("phi", "v", "v_source"):
+        a, b = getattr(compiled, name), getattr(reference, name)
+        assert np.array_equal(a, b), name
+        # and the same signed zeros, which the CSV outputs spell out
+        assert a.tobytes() == b.tobytes(), name
 
 
 class TestRhs:
@@ -133,16 +164,18 @@ class TestSimulate:
         assert np.array_equal(a.phi, b.phi)
         assert np.array_equal(a.v, b.v)
 
-    def test_dt_validation(self):
+    def test_dt_validation(self, kernel, monkeypatch):
         c = _circuit()
         d = derive(c)
-        with pytest.raises(SolverError, match="dt"):
-            simulate(c, None, 1e-9, dt=(2 * math.pi / d.omega_p) / 50)
+        for _ in _on_both_loops(monkeypatch, kernel):
+            with pytest.raises(SolverError, match="dt"):
+                simulate(c, None, 1e-9, dt=(2 * math.pi / d.omega_p) / 50)
 
     @pytest.mark.parametrize("dt", [0.0, -2.5e-13, math.nan])
-    def test_dt_must_be_positive(self, dt):
-        with pytest.raises(SolverError, match="dt"):
-            simulate(_circuit(), None, 1e-9, dt=dt)
+    def test_dt_must_be_positive(self, dt, kernel, monkeypatch):
+        for _ in _on_both_loops(monkeypatch, kernel):
+            with pytest.raises(SolverError, match="dt"):
+                simulate(_circuit(), None, 1e-9, dt=dt)
 
     def test_t_end_must_cover_drive(self):
         c = _circuit()
@@ -150,14 +183,17 @@ class TestSimulate:
         with pytest.raises(SolverError, match="t_end"):
             simulate(c, train, 1e-10)
 
-    def test_nonfinite_state_aborts_with_step(self):
+    def test_nonfinite_state_aborts_with_step(self, kernel, monkeypatch):
         c = _circuit()
         bad = np.zeros(13)
         bad[0] = np.nan
-        with pytest.raises(SolverError, match="step"):
-            simulate(c, None, 1e-9, initial_phi=bad)
+        for _ in _on_both_loops(monkeypatch, kernel):
+            with pytest.raises(SolverError, match="step"):
+                simulate(c, None, 1e-9, initial_phi=bad)
 
-    def test_nonfinite_voltage_on_last_step_aborts_with_step(self, monkeypatch):
+    def test_nonfinite_voltage_on_last_step_aborts_with_step(
+        self, kernel, monkeypatch
+    ):
         # only the last drive sample is NaN: v turns non-finite on the
         # final step while phi stays finite
         c = CircuitParams(
@@ -172,8 +208,9 @@ class TestSimulate:
 
         monkeypatch.setattr(PulseTrain, "sample", sample)
         drive = PulseTrain(pulses=(), duration=0.0)
-        with pytest.raises(SolverError, match=r"non-finite state at step 1001 "):
-            simulate(c, drive, 1000 * dt, dt)
+        for _ in _on_both_loops(monkeypatch, kernel):
+            with pytest.raises(SolverError, match=r"non-finite state at step 1001 "):
+                simulate(c, drive, 1000 * dt, dt)
 
     def test_port_records(self):
         c = _circuit()
@@ -187,6 +224,155 @@ class TestSimulate:
             traj.i_in, (traj.v_source - traj.v[0]) / c.z_in, rtol=1e-12
         )
         assert np.allclose(traj.i_out, traj.v[-1] / c.z_out, rtol=1e-12)
+
+
+def _train(triples):
+    """A PulseTrain from (t_center, area in Phi0, width) triples."""
+    pulses = tuple(
+        sech_pulse(area * PHI0, width, t) for t, area, width in sorted(triples)
+    )
+    tail = max((t + 5 * w for t, _, w in triples), default=0.0)
+    return PulseTrain(pulses=pulses, duration=tail)
+
+
+class TestCompiledKernel:
+    @pytest.mark.parametrize("r_n", [None, math.inf], ids=["r_n", "lossless"])
+    @pytest.mark.parametrize("boundaries", ["ports", "periodic", "open"])
+    @pytest.mark.parametrize("n_jtl", [4, 5, 12, 13])
+    def test_matches_numpy_loop(self, kernel, monkeypatch, n_jtl, boundaries, r_n):
+        c = _circuit(n_jtl=n_jtl, r_n=r_n)
+        train = _train([(1e-10, 1.0, 20e-12), (2e-10, -1.0, 20e-12),
+                        (3e-10, 0.5, 10e-12)])
+        phi0 = np.random.default_rng(n_jtl).normal(0.0, 1.0, n_jtl)
+        _assert_loops_identical(
+            monkeypatch, kernel, c, train, 1e-9, boundaries=boundaries,
+            initial_phi=phi0,
+        )
+
+    @pytest.mark.filterwarnings("ignore:beta_c")
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_jtl=st.integers(2, 16),
+        i_c=st.floats(1e-6, 1e-5),
+        lam=st.floats(1.0, 5.0),
+        f_p=st.floats(5e9, 30e9),
+        alpha_in=st.floats(0.1, 5.0),
+        alpha_out=st.floats(0.05, 5.0),
+        r_n=st.one_of(st.none(), st.just(math.inf), st.floats(10.0, 1e3)),
+        boundaries=st.sampled_from(["ports", "periodic", "open"]),
+        pulses=st.lists(
+            st.tuples(st.floats(0.0, 2e-10), st.floats(-2.0, 2.0),
+                      st.floats(2e-12, 30e-12)),
+            max_size=4,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        n_steps=st.integers(1, 600),
+    )
+    def test_matches_numpy_loop_on_random_circuits(
+        self, kernel, n_jtl, i_c, lam, f_p, alpha_in, alpha_out, r_n, boundaries,
+        pulses, seed, n_steps,
+    ):
+        kwargs = {} if r_n is None else {"r_n": r_n}
+        c = solve_geometry(i_c, lam, 2 * math.pi * f_p, alpha_in, alpha_out,
+                           n_jtl, **kwargs)
+        train = _train(pulses)
+        dt = 2 * math.pi / derive(c).omega_p / 200
+        phi0 = np.random.default_rng(seed).normal(0.0, 2.0, n_jtl)
+        t_end = max(n_steps * dt, 1.01 * train.duration)
+        with pytest.MonkeyPatch.context() as mp:
+            _assert_loops_identical(
+                mp, kernel, c, train, t_end, dt, boundaries=boundaries,
+                initial_phi=phi0,
+            )
+
+    def test_nonfinite_message_matches_numpy_loop(self, kernel, monkeypatch):
+        bad = np.zeros(13)
+        bad[3] = np.nan
+        messages = []
+        for _ in _on_both_loops(monkeypatch, kernel):
+            with pytest.raises(SolverError) as err:
+                simulate(_circuit(), None, 1e-9, initial_phi=bad)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "at step 1 " in messages[0]
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """A cache directory holding the library built from the shipped source."""
+    cache = tmp_path_factory.mktemp("cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(cache))
+        assert solver._load_kernel() is not None
+    return cache
+
+
+def _kernel_notices(caplog):
+    return [r for r in caplog.records if r.name == "jtlpulse.solver"]
+
+
+class TestKernelCache:
+    def test_warm_cache_starts_no_process(self, warm_cache, monkeypatch, caplog):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a cache hit started a process")
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(warm_cache))
+        monkeypatch.setattr(subprocess, "run", no_process)
+        caplog.set_level(logging.WARNING, logger="jtlpulse.solver")
+        assert solver._load_kernel() is not None
+        assert _kernel_notices(caplog) == []
+
+    @pytest.mark.parametrize("edit", ["source", "flags"])
+    def test_library_of_other_source_never_loaded(
+        self, warm_cache, monkeypatch, caplog, tmp_path, edit
+    ):
+        # the warm cache holds a good library, but for another key: the
+        # loader has to build, and building is made to fail
+        if edit == "source":
+            edited = tmp_path / "_rk4.c"
+            edited.write_bytes(solver._RK4_SOURCE.read_bytes() + b"/* edited */\n")
+            monkeypatch.setattr(solver, "_RK4_SOURCE", edited)
+        else:
+            monkeypatch.setattr(solver, "_RK4_CFLAGS", (*solver._RK4_CFLAGS, "-g"))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(warm_cache))
+        monkeypatch.setattr(
+            sysconfig, "get_config_var", lambda name: str(tmp_path / "no-cc")
+        )
+        caplog.set_level(logging.WARNING, logger="jtlpulse.solver")
+        assert solver._load_kernel() is None
+        assert len(_kernel_notices(caplog)) == 1
+
+    def test_sin_mismatch_refuses_kernel(self, warm_cache, monkeypatch, caplog):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(warm_cache))
+        monkeypatch.setattr(np, "sin", np.cos)
+        caplog.set_level(logging.WARNING, logger="jtlpulse.solver")
+        assert solver._load_kernel() is None
+        assert len(_kernel_notices(caplog)) == 1
+
+    @pytest.mark.parametrize("failure", ["no compiler", "cache not writable"])
+    def test_failure_falls_back_to_numpy(self, monkeypatch, caplog, tmp_path, failure):
+        c = _circuit(n_jtl=5)
+        train = _train([(1e-10, 1.0, 20e-12)])
+        monkeypatch.setattr(solver, "_kernel", None)
+        reference = simulate(c, train, 5e-10)
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        if failure == "no compiler":
+            monkeypatch.setattr(
+                sysconfig, "get_config_var", lambda name: str(tmp_path / "no-cc")
+            )
+        else:
+            # a file where the cache directory goes (root ignores mode bits)
+            (tmp_path / "cache").write_text("")
+        monkeypatch.setattr(solver, "_kernel", solver._UNLOADED)
+        caplog.set_level(logging.WARNING, logger="jtlpulse.solver")
+        first = simulate(c, train, 5e-10)
+        second = simulate(c, train, 5e-10)
+        assert solver._kernel is None
+        assert len(_kernel_notices(caplog)) == 1
+        for traj in (first, second):
+            assert np.array_equal(traj.phi, reference.phi)
+            assert np.array_equal(traj.v, reference.v)
 
 
 class TestDispersion:
