@@ -1,7 +1,9 @@
 /* Fixed-step RK4 loop of solver.simulate, transcribed operation for
  * operation from solver._deriv and solver._rk4_numpy so that both loops
- * give bit-identical trajectories.  Build without FMA contraction or
- * fast-math, which would reorder or fuse the roundings:
+ * give bit-identical trajectories.  Like the numpy loop it only steps:
+ * solver.simulate checks the finished record once and reports the first
+ * non-finite step.  Build without FMA contraction or fast-math, which would
+ * reorder or fuse the roundings:
  *
  *     cc -O2 -ffp-contract=off -fPIC -shared -o rk4.so _rk4.c -lm
  */
@@ -41,10 +43,8 @@ static void deriv(long n, const double *lat, int ports, int periodic,
 
 /* Advance n_steps from column 0 of the (n, n_steps + 1) row-major records
  * phi_out and v_out, filling the other columns.  v_drive holds the port EMF
- * on the 2 n_steps + 1 point half-step grid; work holds 12 n doubles.
- * Returns -1, or the 0-based step after which the state was found
- * non-finite (checked every 64 steps and on the last). */
-long jtl_rk4(long n, long n_steps, double dt, const double *lat, int ports,
+ * on the 2 n_steps + 1 point half-step grid; work holds 12 n doubles. */
+void jtl_rk4(long n, long n_steps, double dt, const double *lat, int ports,
              int periodic, const double *v_drive, double *phi_out,
              double *v_out, double *work)
 {
@@ -83,12 +83,7 @@ long jtl_rk4(long n, long n_steps, double dt, const double *lat, int ports,
             phi_out[i * stride + step + 1] = phi[i];
             v_out[i * stride + step + 1] = v[i];
         }
-        if (step % 64 == 0 || step == n_steps - 1)
-            for (long i = 0; i < n; i++)
-                if (!isfinite(phi[i]) || !isfinite(v[i]))
-                    return step;
     }
-    return -1;
 }
 
 /* libm's sin over x[0..n), to check it agrees with the numpy in use */

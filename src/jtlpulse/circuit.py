@@ -65,7 +65,8 @@ class CircuitParams:
             if beta_c >= 1.0:
                 warnings.warn(
                     f"beta_c = {beta_c:.3g} >= 1: junctions are underdamped",
-                    stacklevel=2,
+                    # past the dataclass-generated __init__ to its caller
+                    stacklevel=3,
                 )
 
 

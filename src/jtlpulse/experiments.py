@@ -610,7 +610,8 @@ def run_scenario(
 ) -> ScenarioReport:
     """Call the scenario's runner with ``overrides`` as keyword arguments;
     ``jobs`` reaches the runners that take it.  A dt_divisor below
-    MIN_DT_DIVISOR is refused before any runner starts."""
+    MIN_DT_DIVISOR and a jobs count below 1 (the argument or an override)
+    are refused before any runner starts."""
     if scenario not in SCENARIOS:
         raise ScenarioError(
             f"unknown scenario {scenario!r}; valid ids: " + ", ".join(SCENARIO_IDS)
@@ -620,6 +621,9 @@ def run_scenario(
         raise ScenarioError(
             f"dt_divisor must be >= {MIN_DT_DIVISOR}, got {kwargs['dt_divisor']!r}"
         )
+    for count in (jobs, kwargs.get("jobs")):
+        if count is not None and count < 1:
+            raise ScenarioError(f"jobs must be >= 1, got {count!r}")
     if jobs is not None and "jobs" in scenario_parameters(scenario):
         kwargs["jobs"] = jobs
     result = SCENARIOS[scenario](**kwargs)

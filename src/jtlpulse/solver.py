@@ -22,18 +22,21 @@ is then exactly the incident wave amplitude.
 
 The stepping loop runs in C: _rk4.c transcribes ``_deriv`` and the numpy
 loop ``_rk4_numpy`` operation for operation, and is built without FMA
-contraction, so both loops give bit-identical trajectories.  On the first
-``simulate`` call the source is compiled with the C compiler Python was
-built with (sysconfig's CC, else ``cc``) into $XDG_CACHE_HOME/jtlpulse
-(default ~/.cache/jtlpulse), under a name keyed by the source and the flags,
-and later calls and processes load that library.  If it cannot be built or
-loaded, or the C library's sin differs from np.sin, one logged warning says
-so and the numpy loop runs instead.
+contraction, so both loops give bit-identical trajectories.  Both loops
+only step; ``simulate`` checks the finished record once and reports the
+first non-finite step.  On the first ``simulate`` call the source is
+compiled with the C compiler Python was built with (sysconfig's CC, else
+``cc``) into $XDG_CACHE_HOME/jtlpulse (default ~/.cache/jtlpulse), under a
+name keyed by the source and the flags, and later calls and processes load
+that library.  If it cannot be built or loaded, or the C library's sin
+differs from np.sin, one logged warning says so and the numpy loop runs
+instead.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import logging
 import math
 import os
@@ -55,10 +58,6 @@ _CSV_BLOCK_ROWS = 1 << 16
 _RK4_SOURCE = Path(__file__).with_name("_rk4.c")
 # No FMA contraction (or fast-math): the C loop must round like numpy.
 _RK4_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_UNLOADED = object()
-# The compiled RK4 loop, set on the first simulate call; None runs the numpy
-# loop.
-_kernel = _UNLOADED
 _log = logging.getLogger(__name__)
 
 
@@ -217,12 +216,12 @@ def simulate(
     dt defaults to a two-hundredth of the plasma period and must be positive
     and at most a MIN_DT_DIVISOR-th of it.  The voltages start at zero, and
     so do the phases unless ``initial_phi`` seeds them (seeding is used by
-    validation tests only).  The state is checked every 64 steps and on the
-    last step; a non-finite phase or voltage raises SolverError with the
-    failing step index.
+    validation tests only).  Once the loop has run, the record is checked;
+    a non-finite phase or voltage raises SolverError naming the first step
+    that produced one.
 
-    The checks and the drive sampling run here; only the stepping loop
-    dispatches: to the compiled kernel of _rk4.c when it loads, else to
+    The checks and the drive sampling run here; the stepping loop is
+    ``_rk4_loop()``: the compiled kernel of _rk4.c when it loads, else
     ``_rk4_numpy``, the reference.  Both give bit-identical trajectories.
     """
     derived = derive(circuit)
@@ -260,23 +259,13 @@ def simulate(
     v_out[:, 0] = 0.0
 
     lattice = _lattice(circuit, boundaries)
-    kernel = _rk4_kernel()
-    if kernel is None:
-        bad_step = _rk4_numpy(phi_out, v_out, v_drive, dt, lattice)
-    else:
-        # the kernel takes raw addresses: every array must stay referenced
-        v_drive = np.ascontiguousarray(v_drive, dtype=float)
-        work = np.empty(12 * n)
-        bad_step = kernel(
-            n, n_steps, dt, (ctypes.c_double * 7)(*lattice[1:8]), *lattice[8:],
-            v_drive.ctypes.data, phi_out.ctypes.data, v_out.ctypes.data,
-            work.ctypes.data,
-        )
-    if bad_step >= 0:
+    _rk4_loop()(phi_out, v_out, v_drive, dt, lattice)
+    bad = ~(np.isfinite(phi_out[:, 1:]) & np.isfinite(v_out[:, 1:])).all(axis=0)
+    if bad.any():
+        step = int(bad.argmax()) + 1
         raise SolverError(
-            f"non-finite state at step {bad_step + 1} "
-            f"(t = {(bad_step + 1) * dt:.3e} s), "
-            f"max |phi| = {np.nanmax(np.abs(phi_out[:, : bad_step + 1])):.3e}"
+            f"non-finite state at step {step} (t = {step * dt:.3e} s), "
+            f"max |phi| = {np.nanmax(np.abs(phi_out[:, :step])):.3e}"
         )
 
     times = dt * np.arange(n_steps + 1)
@@ -294,17 +283,14 @@ def simulate(
 def _rk4_numpy(
     phi_out: np.ndarray, v_out: np.ndarray, v_drive: np.ndarray, dt: float,
     lattice: tuple,
-) -> int:
+) -> None:
     """The reference RK4 loop: advance from column 0 of phi_out/v_out and
-    fill the rest.  Returns -1, or the 0-based step after which the state
-    was non-finite (checked every 64 steps and on the last)."""
+    fill the rest.  It only steps; ``simulate`` checks the record."""
     phi = phi_out[:, 0].copy()
     v = v_out[:, 0].copy()
-    n_steps = phi_out.shape[1] - 1
-    last = n_steps - 1
     sixth = dt / 6.0
     half = dt / 2.0
-    for step in range(n_steps):
+    for step in range(phi_out.shape[1] - 1):
         vd0 = v_drive[2 * step]
         vd1 = v_drive[2 * step + 1]
         vd2 = v_drive[2 * step + 2]
@@ -316,23 +302,17 @@ def _rk4_numpy(
         v = v + sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
         phi_out[:, step + 1] = phi
         v_out[:, step + 1] = v
-        if (step % 64 == 0 or step == last) and not (
-            np.all(np.isfinite(phi)) and np.all(np.isfinite(v))
-        ):
-            return step
-    return -1
 
 
-def _rk4_kernel():
-    """The compiled RK4 loop, loaded on the first call; None if unavailable."""
-    global _kernel
-    if _kernel is _UNLOADED:
-        _kernel = _load_kernel()
-    return _kernel
+@functools.cache
+def _rk4_loop():
+    """The RK4 loop ``simulate`` runs, chosen on the first call."""
+    return _load_kernel()
 
 
 def _load_kernel():
-    """``jtl_rk4`` of _rk4.c from the user cache, compiled there on a miss.
+    """``jtl_rk4`` of _rk4.c from the user cache, compiled there on a miss,
+    wrapped to take the arguments of ``_rk4_numpy``.
 
     The library's name carries a CRC-32 of the source and the compiler
     flags, so an edited source never loads a stale build; a cache hit reads
@@ -340,7 +320,7 @@ def _load_kernel():
     used: loading OpenSSL costs more than the whole hit).  The kernel is
     refused if the C library's sin differs from np.sin, which would break
     bit-identity with the numpy loop.  Any failure logs one warning and
-    returns None.
+    returns ``_rk4_numpy``.
     """
     try:
         source = _RK4_SOURCE.read_bytes()
@@ -359,13 +339,25 @@ def _load_kernel():
         kernel = lib.jtl_rk4
     except (OSError, AttributeError, RuntimeError, subprocess.SubprocessError) as exc:
         _log.warning("compiled RK4 kernel unavailable (%s); using the numpy loop", exc)
-        return None
-    kernel.restype = ctypes.c_long
+        return _rk4_numpy
+    kernel.restype = None
     kernel.argtypes = [
         ctypes.c_long, ctypes.c_long, ctypes.c_double, ctypes.c_void_p,
         ctypes.c_int, ctypes.c_int, *[ctypes.c_void_p] * 4,
     ]
-    return kernel
+
+    def rk4_compiled(phi_out, v_out, v_drive, dt, lattice):
+        # the kernel takes raw addresses: every array must stay referenced
+        v_drive = np.ascontiguousarray(v_drive, dtype=float)
+        n = phi_out.shape[0]
+        work = np.empty(12 * n)
+        kernel(
+            n, phi_out.shape[1] - 1, dt, (ctypes.c_double * 7)(*lattice[1:8]),
+            *lattice[8:], v_drive.ctypes.data, phi_out.ctypes.data,
+            v_out.ctypes.data, work.ctypes.data,
+        )
+
+    return rk4_compiled
 
 
 def _compile_kernel(path: Path) -> None:

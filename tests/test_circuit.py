@@ -95,6 +95,12 @@ class TestValidation:
             CircuitParams(i_c=4e-6, c_j=8e-13, l=8e-12, z_in=0.6, z_out=12.0,
                           r_n=300.0)
 
+    def test_underdamped_notice_names_the_caller(self):
+        with pytest.warns(UserWarning, match="underdamped") as record:
+            CircuitParams(i_c=4e-6, c_j=8e-13, l=8e-12, z_in=0.6, z_out=12.0,
+                          r_n=1000.0)
+        assert record[0].filename == __file__
+
 
 class TestReflectionThresholds:
     def test_quoted_consistent_at_075(self):

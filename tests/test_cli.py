@@ -144,6 +144,8 @@ class TestRun:
         ("efficiency_map", "i_c_grid = 0, 3e-6", "i_c_grid"),
         ("efficiency_map", "omega_p_grid = 0", "omega_p_grid"),
         ("bandwidth_sweep", "n_pairs_list = 5, inf", "n_pairs_list"),
+        ("efficiency_map", "jobs = 0", "jobs must be >= 1, got 0"),
+        ("table1", "jobs = -3", "jobs must be >= 1, got -3"),
     ])
     def test_bad_scenario_input_is_a_config_error(
         self, tmp_path, capsys, scenario, line, named
@@ -152,6 +154,18 @@ class TestRun:
         config = _write(tmp_path, f"[scenario]\nid = {scenario}\n{line}\n")
         assert main(["run", "--config", config, "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("scenario", experiments.SCENARIO_IDS)
+    def test_jobs_below_one_is_a_config_error(self, tmp_path, capsys, scenario, jobs):
+        out = tmp_path / "out"
+        code = main([
+            "run", "--config", _write(tmp_path, f"[scenario]\nid = {scenario}\n"),
+            "--out", str(out), "--jobs", jobs,
+        ])
+        assert code == 2
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_stable_column_order(self, row2_config, tmp_path, capsys):

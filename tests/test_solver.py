@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 import subprocess
 import sysconfig
 
@@ -30,15 +31,15 @@ def _circuit(n_jtl=13, r_n=None, f_p=15e9, lam=3.17, i_c=4e-6):
 @pytest.fixture(scope="module")
 def kernel():
     """The compiled RK4 loop; a test of the C path fails if it did not load."""
-    loaded = solver._rk4_kernel()
-    assert loaded is not None, "the compiled RK4 kernel did not load"
+    loaded = solver._rk4_loop()
+    assert loaded is not solver._rk4_numpy, "the compiled RK4 kernel did not load"
     return loaded
 
 
 def _on_both_loops(monkeypatch, kernel):
     """Yield once with the compiled loop in place, once with the numpy loop."""
-    for handle in (kernel, None):
-        monkeypatch.setattr(solver, "_kernel", handle)
+    for loop in (kernel, solver._rk4_numpy):
+        monkeypatch.setattr(solver, "_rk4_loop", lambda: loop)
         yield
 
 
@@ -195,7 +196,8 @@ class TestSimulate:
         self, kernel, monkeypatch
     ):
         # only the last drive sample is NaN: v turns non-finite on the
-        # final step while phi stays finite
+        # final step while phi stays finite, so the last column of the
+        # record is the first non-finite one
         c = CircuitParams(
             i_c=4e-6, c_j=770e-15, l=7.56e-12, z_in=0.63, z_out=12.6, n_jtl=13
         )
@@ -210,6 +212,26 @@ class TestSimulate:
         drive = PulseTrain(pulses=(), duration=0.0)
         for _ in _on_both_loops(monkeypatch, kernel):
             with pytest.raises(SolverError, match=r"non-finite state at step 1001 "):
+                simulate(c, drive, 1000 * dt, dt)
+
+    def test_nonfinite_state_reports_first_bad_step(self, kernel, monkeypatch):
+        # drive sample 20 is the end-of-step EMF of step 10 (and the start
+        # of step 11): column 10 of the record is the first non-finite one
+        c = CircuitParams(
+            i_c=4e-6, c_j=770e-15, l=7.56e-12, z_in=0.63, z_out=12.6, n_jtl=13
+        )
+        dt = 2 * math.pi / derive(c).omega_p / 200
+
+        def sample(self, t):
+            out = np.zeros_like(t)
+            out[20] = np.nan
+            return out
+
+        monkeypatch.setattr(PulseTrain, "sample", sample)
+        drive = PulseTrain(pulses=(), duration=0.0)
+        expected = f"non-finite state at step 10 (t = {10 * dt:.3e} s), "
+        for _ in _on_both_loops(monkeypatch, kernel):
+            with pytest.raises(SolverError, match=re.escape(expected)):
                 simulate(c, drive, 1000 * dt, dt)
 
     def test_port_records(self):
@@ -303,8 +325,17 @@ def warm_cache(tmp_path_factory):
     cache = tmp_path_factory.mktemp("cache")
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(cache))
-        assert solver._load_kernel() is not None
+        assert solver._load_kernel() is not solver._rk4_numpy
     return cache
+
+
+@pytest.fixture
+def uncached_loop():
+    """No RK4 loop chosen yet; the loop a test leaves cached is dropped
+    afterwards, so a forced fallback never reaches later tests."""
+    solver._rk4_loop.cache_clear()
+    yield
+    solver._rk4_loop.cache_clear()
 
 
 def _kernel_notices(caplog):
@@ -319,7 +350,7 @@ class TestKernelCache:
         monkeypatch.setenv("XDG_CACHE_HOME", str(warm_cache))
         monkeypatch.setattr(subprocess, "run", no_process)
         caplog.set_level(logging.WARNING, logger="jtlpulse.solver")
-        assert solver._load_kernel() is not None
+        assert solver._load_kernel() is not solver._rk4_numpy
         assert _kernel_notices(caplog) == []
 
     @pytest.mark.parametrize("edit", ["source", "flags"])
@@ -339,22 +370,25 @@ class TestKernelCache:
             sysconfig, "get_config_var", lambda name: str(tmp_path / "no-cc")
         )
         caplog.set_level(logging.WARNING, logger="jtlpulse.solver")
-        assert solver._load_kernel() is None
+        assert solver._load_kernel() is solver._rk4_numpy
         assert len(_kernel_notices(caplog)) == 1
 
     def test_sin_mismatch_refuses_kernel(self, warm_cache, monkeypatch, caplog):
         monkeypatch.setenv("XDG_CACHE_HOME", str(warm_cache))
         monkeypatch.setattr(np, "sin", np.cos)
         caplog.set_level(logging.WARNING, logger="jtlpulse.solver")
-        assert solver._load_kernel() is None
+        assert solver._load_kernel() is solver._rk4_numpy
         assert len(_kernel_notices(caplog)) == 1
 
     @pytest.mark.parametrize("failure", ["no compiler", "cache not writable"])
-    def test_failure_falls_back_to_numpy(self, monkeypatch, caplog, tmp_path, failure):
+    def test_failure_falls_back_to_numpy(
+        self, monkeypatch, caplog, tmp_path, failure, uncached_loop
+    ):
         c = _circuit(n_jtl=5)
         train = _train([(1e-10, 1.0, 20e-12)])
-        monkeypatch.setattr(solver, "_kernel", None)
-        reference = simulate(c, train, 5e-10)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_rk4_loop", lambda: solver._rk4_numpy)
+            reference = simulate(c, train, 5e-10)
 
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         if failure == "no compiler":
@@ -364,11 +398,10 @@ class TestKernelCache:
         else:
             # a file where the cache directory goes (root ignores mode bits)
             (tmp_path / "cache").write_text("")
-        monkeypatch.setattr(solver, "_kernel", solver._UNLOADED)
         caplog.set_level(logging.WARNING, logger="jtlpulse.solver")
         first = simulate(c, train, 5e-10)
         second = simulate(c, train, 5e-10)
-        assert solver._kernel is None
+        assert solver._rk4_loop() is solver._rk4_numpy
         assert len(_kernel_notices(caplog)) == 1
         for traj in (first, second):
             assert np.array_equal(traj.phi, reference.phi)
