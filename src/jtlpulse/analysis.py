@@ -88,7 +88,10 @@ def psd(
     """PSD with peak frequency and interpolated full width at half maximum.
 
     The record is sampled every ``dt`` seconds and must be at least 256
-    samples long.  f0 is the argmax over f > 0;
+    samples long.  The scenarios pass band-limited records: the integrator's
+    record taken every q-th step, with a Nyquist of at least twice the
+    lattice band top 2 f_p sqrt(1 + 4 lambda_J^2), and no fewer than 256
+    samples left (``experiments._band_stride``).  f0 is the argmax over f > 0;
     the FWHM comes from linear interpolation of the half-maximum crossings
     around that peak.  A record whose above-DC maximum does not stand out
     of the DC skirt yields a no-peak result (f0 = fwhm = None).
@@ -263,7 +266,7 @@ def energy_audit(trajectory: Trajectory) -> dict[str, float]:
     p_out_fwd, _ = power_waves(trajectory.v_nodeN, trajectory.i_out, c.z_out)
     e_out = float(np.trapezoid(p_out_fwd, times))
     e_diss = trajectory.dissipated_energy()
-    e_stored = float(trajectory.stored_energy()[-1])
+    e_stored = trajectory.final_stored_energy()
     closure = abs(e_in - (e_refl + e_out + e_diss + e_stored)) / e_in if e_in else 0.0
     return {
         "e_in_fwd": e_in,

@@ -161,6 +161,30 @@ def _jtl_length(lambda_j: float) -> int:
     return int(min(5, max(4, round(1.66 * lambda_j))))
 
 
+def _band_stride(derived: DerivedParams, dt: float, n_samples: int) -> int:
+    """Stride q at which the spectrum of a record of ``n_samples`` steps of
+    ``dt`` is taken.
+
+    q is the largest stride whose Nyquist 1/(2 q dt) is at least twice the
+    lattice band top f_top = f_p sqrt(1 + 4 lambda_J^2), so
+    q = floor(1 / (4 f_top dt)).  It is capped at n_samples // 256 so that
+    psd's 256-sample floor still holds, and is at least 1.
+
+    Linear waves on the lattice lie below f_top, and the scenarios' tones
+    near f_p.  Taking every q-th sample is plain subsampling: whatever lies
+    above the new Nyquist folds back into the band.  At the default step
+    (q = 7 at lambda_J = 3.17 and 3.3, q = 9 at 2.5) that is at most 1e-16 of
+    a flat-top record's energy, up to 2e-6 of a Gaussian one's (its
+    multi-quantum pulses reach above f_top) and ~1e-11 of a single fluxon's
+    at the last cell.
+    """
+    f_top = derived.omega_p / (2.0 * math.pi) * math.sqrt(
+        1.0 + 4.0 * derived.lambda_j**2
+    )
+    q = math.floor(1.0 / (4.0 * f_top * dt))
+    return max(1, min(q, n_samples // 256))
+
+
 @contextmanager
 def _expected_notices():
     """Silence the two notices scenarios raise by design: unshunted line
@@ -189,7 +213,7 @@ def _simulate_settled(
     for _ in range(max_extensions + 1):
         traj = simulate(circuit, train, t_end, dt)
         e_in = forward_energy(traj.v_node1, traj.i_in, circuit.z_in, traj.times)
-        residual = float(traj.stored_energy()[-1])
+        residual = traj.final_stored_energy()
         if e_in <= 0.0 or residual <= 1e-3 * e_in:
             return traj, e_in
         t_end = train.duration + (t_end - train.duration) * 2.0
@@ -204,15 +228,18 @@ def _simulate_settled(
 def _measure_train_run(
     traj: Trajectory, e_in: float, seq_duration: float
 ) -> tuple[SpectrumResult, PowerReport]:
-    """Spectrum and power bookkeeping for a pulse-train run injecting e_in."""
+    """Spectrum and power bookkeeping for a pulse-train run injecting e_in;
+    the spectra are taken at the signal band (``_band_stride``)."""
     c = traj.circuit
-    a_out = traj.v_nodeN / math.sqrt(c.z_out)
-    spectrum = psd(a_out, traj.dt)
+    q = _band_stride(traj.derived, traj.dt, traj.times.size)
+    a_band = traj.v_nodeN[::q] / math.sqrt(c.z_out)
+    dt_band = traj.dt * q
+    spectrum = psd(a_band, dt_band)
     e_out = forward_energy(traj.v_nodeN, traj.i_out, c.z_out, traj.times)
     band = None
     if spectrum.f0 is not None and spectrum.fwhm is not None:
         band = band_power_dbm(
-            a_out, traj.dt, spectrum.f0, spectrum.fwhm, seq_duration
+            a_band, dt_band, spectrum.f0, spectrum.fwhm, seq_duration
         )
     report = PowerReport(
         e_in_fwd=e_in,
@@ -390,8 +417,9 @@ def run_single_fluxon(
             fit = breather_fit(traj, -1)
         except (InsufficientDataError, AnalysisError) as exc:
             fit_note = str(exc)
-        sel = traj.times >= traj.drive_end
-        spectrum = psd(traj.v[-1][sel], traj.dt)
+        ring_down = traj.v[-1][traj.times >= traj.drive_end]
+        q = _band_stride(traj.derived, traj.dt, ring_down.size)
+        spectrum = psd(ring_down[::q], traj.dt * q)
         regime = _classify_regime(traj, fit, derived)
         config = {
             "alpha_out": a, "alpha_in": alpha_in, "i_c": i_c,

@@ -111,9 +111,18 @@ class Trajectory:
 
     def stored_energy(self) -> np.ndarray:
         """Total stored energy series: capacitive + Josephson + inductive."""
-        cap = 0.5 * self.circuit.c_j * np.sum(self.v**2, axis=0)
-        jos = np.sum(self.u_cell, axis=0)
-        dphi = np.diff(self.phi, axis=0)
+        return self._stored_energy(self.phi, self.v)
+
+    def final_stored_energy(self) -> float:
+        """``stored_energy()[-1]``, bit for bit, from the last two columns
+        only: numpy sums an (n, 1) column pairwise once n >= 8 but an
+        (n, k >= 2) block row by row, as it does the whole record."""
+        return float(self._stored_energy(self.phi[:, -2:], self.v[:, -2:])[-1])
+
+    def _stored_energy(self, phi: np.ndarray, v: np.ndarray) -> np.ndarray:
+        cap = 0.5 * self.circuit.c_j * np.sum(v**2, axis=0)
+        jos = np.sum(self.derived.e_j * (1.0 - np.cos(phi)), axis=0)
+        dphi = np.diff(phi, axis=0)
         ind = (PHI0 / (2.0 * math.pi)) ** 2 / (2.0 * self.circuit.l) * np.sum(
             dphi**2, axis=0
         )

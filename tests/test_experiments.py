@@ -6,7 +6,7 @@ import math
 import pytest
 
 from jtlpulse import experiments
-from jtlpulse.analysis import forward_energy
+from jtlpulse.analysis import band_power_dbm, esd, forward_energy, psd
 from jtlpulse.circuit import derive, solve_geometry
 from jtlpulse.pulses import PhaseEnvelope, compile_envelope, schedule_spacing
 from jtlpulse.experiments import (
@@ -24,6 +24,7 @@ from jtlpulse.experiments import (
     _jtl_length,
 )
 from jtlpulse.circuit import PHI0
+from jtlpulse.solver import DEFAULT_DT_DIVISOR, MIN_DT_DIVISOR
 
 
 class TestSingleFluxon:
@@ -70,6 +71,12 @@ class TestSingleFluxon:
         with pytest.raises(ScenarioError):
             run_single_fluxon(1.5)
 
+    def test_short_ring_down_keeps_its_spectrum(self):
+        # ~400 ring-down samples: a stride of 7 would leave 58, below psd's
+        # 256-sample floor, so the spectrum is taken at the full rate
+        run = run_single_fluxon((0.25,), n_tail_periods=2).runs[0]
+        assert run.f0 == pytest.approx(22.44e9, rel=1e-3)
+
 
 class TestTrainScenarios:
     def test_geometry_rules(self):
@@ -111,6 +118,95 @@ class TestTrainScenarios:
         assert run.config["width"] == pytest.approx(
             PHI0 / (2 * math.pi * 3e-6) / R_SFQ, rel=1e-12
         )
+
+
+def _derived(lambda_j, f_p=15e9):
+    return derive(solve_geometry(3e-6, lambda_j, 2 * math.pi * f_p, 5.0, 0.25, 5))
+
+
+class TestBandStride:
+    @pytest.mark.parametrize(
+        "lambda_j, dt_divisor, q",
+        [(3.17, DEFAULT_DT_DIVISOR, 7), (3.3, DEFAULT_DT_DIVISOR, 7),
+         (2.5, DEFAULT_DT_DIVISOR, 9), (3.17, MIN_DT_DIVISOR, 3)],
+    )
+    def test_nyquist_covers_twice_the_band_top(self, lambda_j, dt_divisor, q):
+        d = _derived(lambda_j)
+        dt = 2 * math.pi / d.omega_p / dt_divisor
+        assert experiments._band_stride(d, dt, 10**6) == q
+        f_top = d.omega_p / (2 * math.pi) * math.sqrt(1 + 4 * lambda_j**2)
+        assert 1 / (2 * q * dt) >= 2 * f_top > 1 / (2 * (q + 1) * dt)
+
+    def test_no_stride_at_or_above_a_quarter_band_period(self):
+        d = _derived(3.17)
+        f_top = d.omega_p / (2 * math.pi) * math.sqrt(1 + 4 * 3.17**2)
+        for dt in (1 / (4 * f_top), 1.5 / (4 * f_top)):
+            assert experiments._band_stride(d, dt, 10**6) == 1
+
+    @pytest.mark.parametrize("n_samples, q", [(255, 1), (400, 1), (768, 3),
+                                              (1791, 6), (1792, 7)])
+    def test_leaves_256_samples(self, n_samples, q):
+        d = _derived(3.17)
+        dt = 2 * math.pi / d.omega_p / DEFAULT_DT_DIVISOR
+        assert experiments._band_stride(d, dt, n_samples) == q
+        assert n_samples < 256 or math.ceil(n_samples / q) >= 256
+
+
+class TestSignalBand:
+    """Spectra at the signal band against the full-rate ones, which keep
+    every frequency up to the integrator's own Nyquist."""
+
+    @pytest.fixture
+    def trajectories(self, monkeypatch):
+        trajs = []
+        simulate = experiments.simulate
+
+        def recording(*args, **kwargs):
+            trajs.append(simulate(*args, **kwargs))
+            return trajs[-1]
+
+        monkeypatch.setattr(experiments, "simulate", recording)
+        return trajs
+
+    @staticmethod
+    def _above_band_fraction(x, traj):
+        q = experiments._band_stride(traj.derived, traj.dt, x.size)
+        assert q > 1
+        freqs, density = esd(x, traj.dt)
+        return density[freqs > 1 / (2 * q * traj.dt)].sum() / density.sum()
+
+    @staticmethod
+    def _assert_peak_matches(run, full):
+        assert abs(run.f0 - full.f0) <= full.freqs[1]
+        assert run.fwhm == pytest.approx(full.fwhm, rel=0.01)
+
+    @pytest.mark.parametrize(
+        "protocol, row",
+        [("flat_top", TABLE1_FLAT_TOP[0]), ("gaussian", TABLE1_GAUSSIAN[3])],
+        ids=["flat_top_3uA", "gaussian_6uA"],
+    )
+    def test_table1_row(self, trajectories, protocol, row):
+        run = experiments._table1_row(row, protocol, DEFAULT_DT_DIVISOR)
+        traj = trajectories[-1]
+        a_out = traj.v_nodeN / math.sqrt(traj.circuit.z_out)
+        # the Gaussian rows' multi-quantum pulses reach above the band top
+        assert self._above_band_fraction(a_out, traj) < 1e-5
+        full = psd(a_out, traj.dt)
+        self._assert_peak_matches(run, full)
+        band = band_power_dbm(
+            a_out, traj.dt, full.f0, full.fwhm, run.config["seq_duration"]
+        )
+        assert run.power.band_power_dbm == pytest.approx(band, abs=0.01)
+
+    def test_single_fluxon_ring_down(self, trajectories):
+        report = run_single_fluxon()
+        for run, traj in zip(report.runs, trajectories, strict=True):
+            # the band bound holds for the signal at the last cell; the
+            # ring-down record starts mid-oscillation, and the 1/f^2 tail of
+            # that edge step lies above the band at either rate
+            assert self._above_band_fraction(traj.v[-1], traj) < 1e-5
+            ring_down = traj.v[-1][traj.times >= traj.drive_end]
+            self._assert_peak_matches(run, psd(ring_down, traj.dt))
 
 
 class TestBandwidthSweep:

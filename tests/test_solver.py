@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sysconfig
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,6 +146,20 @@ class TestSimulate:
         )
         assert np.max(np.abs(traj.phi - 4 * math.pi)) < 1e-6
         assert np.max(np.abs(traj.v)) < 1e-12
+
+    @pytest.mark.parametrize("n_jtl", [4, 5, 13])
+    def test_final_stored_energy_is_last_sample(self, n_jtl):
+        # the record cut after every step in turn, while the fluxon enters
+        # the line: bit-identical to the whole record's series each time
+        c = _circuit(n_jtl=n_jtl)
+        pulse = sech_pulse(PHI0, 20e-12, 1e-10)
+        traj = simulate(c, PulseTrain(pulses=(pulse,), duration=2e-10), 2.5e-10)
+        series = traj.stored_energy()
+        assert series[-1] > 0.0
+        for k in range(2, traj.times.size + 1):
+            cut = replace(traj, times=traj.times[:k], phi=traj.phi[:, :k],
+                          v=traj.v[:, :k], v_source=traj.v_source[:k])
+            assert cut.final_stored_energy() == series[k - 1], k
 
     @pytest.mark.filterwarnings("ignore:beta_c")
     def test_passivity(self):
