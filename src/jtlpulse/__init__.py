@@ -30,7 +30,6 @@ from .analysis import (
     SpectrumResult,
     band_power_dbm,
     breather_fit,
-    efficiency,
     energy_audit,
     power_waves,
     psd,

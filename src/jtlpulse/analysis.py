@@ -1,4 +1,4 @@
-"""Observables: spectra, power waves, efficiency, band power, breather fits.
+"""Observables: spectra, power waves, band power, breather fits, energy audit.
 
 Spectral quantities are built from the energy spectral density
 ESD(f) = |X(f)|^2 dt^2 of a uniformly sampled record (one-sided), which
@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import Trajectory, _write_csv
+from .solver import Trajectory
+
+_CSV_BLOCK_ROWS = 1 << 16
 
 
 class AnalysisError(RuntimeError):
@@ -39,6 +41,18 @@ class SpectrumResult:
 
     def to_csv(self, path) -> None:
         _write_csv(path, ["freq", "psd"], [self.freqs, self.psd])
+
+
+def _write_csv(path, header: list[str], cols: list[np.ndarray]) -> None:
+    """Write equal-length columns as CSV, each float in shortest round-trip
+    form; rows are formatted a block at a time to bound memory."""
+    cols = [np.asarray(c, dtype=float) for c in cols]
+    step = _CSV_BLOCK_ROWS
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, cols[0].size, step):
+            block = zip(*[map(repr, c[start:start + step].tolist()) for c in cols])
+            fh.write("\n".join(map(",".join, block)) + "\n")
 
 
 @dataclass(frozen=True)
@@ -153,20 +167,6 @@ def forward_energy(v: np.ndarray, i: np.ndarray, z0: float, times: np.ndarray) -
     """Time integral of the forward wave power, J."""
     p_fwd, _ = power_waves(v, i, z0)
     return float(np.trapezoid(p_fwd, times))
-
-
-def efficiency(trajectory: Trajectory) -> float:
-    """Load energy efficiency: forward energy out over forward energy in."""
-    c = trajectory.circuit
-    e_in = forward_energy(
-        trajectory.v_node1, trajectory.i_in, c.z_in, trajectory.times
-    )
-    if e_in <= 0.0:
-        raise AnalysisError("zero input energy; efficiency undefined")
-    e_out = forward_energy(
-        trajectory.v_nodeN, trajectory.i_out, c.z_out, trajectory.times
-    )
-    return e_out / e_in
 
 
 def band_power_dbm(

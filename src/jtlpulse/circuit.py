@@ -9,7 +9,6 @@ is in cells per second.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 # Magnetic flux quantum h/2e, Wb.
@@ -57,17 +56,6 @@ class CircuitParams:
             raise ParameterError(f"r_n must be strictly positive, got {self.r_n!r}")
         if int(self.n_jtl) != self.n_jtl or self.n_jtl < 2:
             raise ParameterError(f"n_jtl must be an integer >= 2, got {self.n_jtl!r}")
-        # Underdamped junctions are allowed (unshunted lines ring), so this is
-        # only a notice, not an error.
-        if math.isfinite(self.r_n):
-            l_j = PHI0 / (2.0 * math.pi * self.i_c)
-            beta_c = self.c_j * self.r_n**2 / l_j
-            if beta_c >= 1.0:
-                warnings.warn(
-                    f"beta_c = {beta_c:.3g} >= 1: junctions are underdamped",
-                    # past the dataclass-generated __init__ to its caller
-                    stacklevel=3,
-                )
 
 
 @dataclass(frozen=True)

@@ -200,10 +200,9 @@ def cmd_run(args) -> int:
             line += f" {run.config['protocol']} i_c={run.config['i_c'] * 1e6:.6g} uA"
         line += f" f0={f0} fwhm={fwhm} eta={eta}"
         if run.power is not None:
-            line += (
-                f" p_in={run.power.avg_input_power * 1e9:.6g} nW"
-                f" p_band={run.power.band_power_dbm:.6g} dBm"
-            )
+            p_band = run.power.band_power_dbm
+            line += f" p_in={run.power.avg_input_power * 1e9:.6g} nW p_band="
+            line += f"{p_band:.6g} dBm" if p_band is not None else "-"
         if run.regime:
             line += f" regime={run.regime}"
         if run.fit is not None:

@@ -28,7 +28,6 @@ import os
 import warnings
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -185,17 +184,6 @@ def _band_stride(derived: DerivedParams, dt: float, n_samples: int) -> int:
     return max(1, min(q, n_samples // 256))
 
 
-@contextmanager
-def _expected_notices():
-    """Silence the two notices scenarios raise by design: unshunted line
-    junctions are underdamped, and dense trains overlap adjacent pulses.
-    Used as a decorator on the runners that build circuits and trains."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", r"beta_c = .* junctions are underdamped")
-        warnings.filterwarnings("ignore", r"pulse spacing .* adjacent pulses overlap")
-        yield
-
-
 def _simulate_settled(
     circuit: CircuitParams,
     train: PulseTrain,
@@ -230,6 +218,8 @@ def _measure_train_run(
 ) -> tuple[SpectrumResult, PowerReport]:
     """Spectrum and power bookkeeping for a pulse-train run injecting e_in;
     the spectra are taken at the signal band (``_band_stride``)."""
+    if e_in <= 0.0:
+        raise AnalysisError("zero input energy; efficiency undefined")
     c = traj.circuit
     q = _band_stride(traj.derived, traj.dt, traj.times.size)
     a_band = traj.v_nodeN[::q] / math.sqrt(c.z_out)
@@ -251,7 +241,6 @@ def _measure_train_run(
     return spectrum, report
 
 
-@_expected_notices()
 def run_fluxoid_train(
     i_c: float,
     omega_p: float,
@@ -271,7 +260,6 @@ def run_fluxoid_train(
     l: float | None = None,
     c_j: float | None = None,
     dt_divisor: int = DEFAULT_DT_DIVISOR,
-    keep_spectrum: bool = True,
 ) -> RunResult:
     """One fluxoid-pair-train run: build, settle, measure.
 
@@ -328,7 +316,7 @@ def run_fluxoid_train(
         fwhm=spectrum.fwhm,
         eta=power.eta,
         power=power,
-        spectrum=spectrum if keep_spectrum else None,
+        spectrum=spectrum,
     )
 
 
@@ -367,7 +355,6 @@ def run_gaussian(
     return run_fluxoid_train(i_c, omega_p, n_pairs, shape, **kwargs)
 
 
-@_expected_notices()
 def run_single_fluxon(
     alpha_out: Sequence[float] = (0.15, 0.2, 0.25, 0.3, 0.35),
     *,
@@ -472,11 +459,11 @@ def run_bandwidth_sweep(
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ScenarioError("n_pairs_list must be non-empty and ascending")
     omega_p = 2.0 * math.pi * f_plasma
-    runs = []
-    for n_pairs in n_list:
-        run = run_flat_top(i_c, omega_p, n_pairs, lambda_j=lambda_j,
-                           keep_spectrum=False, **kwargs)
-        runs.append(run)
+    runs = [
+        replace(run_flat_top(i_c, omega_p, n_pairs, lambda_j=lambda_j, **kwargs),
+                spectrum=None)
+        for n_pairs in n_list
+    ]
     provenance = {"scenario": "bandwidth_sweep", "n_pairs_list": n_list,
                   "config": runs[0].config}
     return ScenarioReport(scenario="bandwidth_sweep", runs=tuple(runs),
@@ -507,11 +494,10 @@ def _map_point(
     dt_divisor: int,
 ) -> float:
     # each protocol's runner defaults give its pair count and lambda_j
-    run = SCENARIOS[protocol](
+    return SCENARIOS[protocol](
         i_c, omega_p, alpha_in=alpha_in, r_n=_damping_r_n(i_c, omega_p, quality),
-        drive_model="incident", dt_divisor=dt_divisor, keep_spectrum=False,
-    )
-    return run.eta
+        drive_model="incident", dt_divisor=dt_divisor,
+    ).eta
 
 
 def run_efficiency_map(
@@ -566,7 +552,7 @@ def _table1_row(row, protocol: str, dt_divisor: int) -> RunResult:
     l_j = PHI0 / (2.0 * math.pi * i_c)
     omega_p = 1.0 / math.sqrt(l_j * c_j)
     run = SCENARIOS[protocol](i_c, omega_p, n_pairs, l=l, c_j=c_j,
-                              dt_divisor=dt_divisor, keep_spectrum=False)
+                              dt_divisor=dt_divisor)
     tol = TABLE1_TOLERANCES
     checks = {
         "f0": abs(run.f0 / 1e9 - f0_ghz) <= tol["f0"] * f0_ghz,
@@ -583,7 +569,7 @@ def _table1_row(row, protocol: str, dt_divisor: int) -> RunResult:
     config["targets"] = targets
     config["checks"] = checks
     return replace(
-        run, config=config, passed=all(checks.values()),
+        run, config=config, spectrum=None, passed=all(checks.values()),
         notes=", ".join(k for k, ok in checks.items() if not ok),
     )
 

@@ -10,7 +10,6 @@ oscillation they pump.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,12 +179,6 @@ def compile_envelope(
     m = len(envelope.theta)
     if m == 0:
         raise ValueError("envelope must contain at least one half-cycle")
-    if spacing <= 2.0 * width:
-        warnings.warn(
-            f"pulse spacing {spacing:.3g} s <= 2 widths ({2 * width:.3g} s): "
-            "adjacent pulses overlap strongly",
-            stacklevel=2,
-        )
     signed = [0.0]
     signed += [
         (-1.0) ** (k + 1) * th for k, th in enumerate(envelope.theta, start=1)

@@ -54,7 +54,6 @@ from .pulses import PulseTrain
 DEFAULT_DT_DIVISOR = 200
 # Coarsest step: a hundredth of the plasma period.
 MIN_DT_DIVISOR = 100
-_CSV_BLOCK_ROWS = 1 << 16
 _RK4_SOURCE = Path(__file__).with_name("_rk4.c")
 # No FMA contraction (or fast-math): the C loop must round like numpy.
 _RK4_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -104,11 +103,6 @@ class Trajectory:
         """Current drawn from node N by the output termination."""
         return self.v[-1] / self.circuit.z_out
 
-    @property
-    def u_cell(self) -> np.ndarray:
-        """Per-cell Josephson potential energy e_j (1 - cos phi), J."""
-        return self.derived.e_j * (1.0 - np.cos(self.phi))
-
     def stored_energy(self) -> np.ndarray:
         """Total stored energy series: capacitive + Josephson + inductive."""
         return self._stored_energy(self.phi, self.v)
@@ -134,40 +128,6 @@ class Trajectory:
             return 0.0
         p = np.sum(self.v**2, axis=0) / self.circuit.r_n
         return float(np.trapezoid(p, self.times))
-
-    def to_csv(self, path) -> None:
-        """Write t, phi_1..phi_N, v_1..v_N, V_src, I_in, I_out columns."""
-        n = self.circuit.n_jtl
-        header = (
-            ["t"]
-            + [f"phi_{i + 1}" for i in range(n)]
-            + [f"v_{i + 1}" for i in range(n)]
-            + ["V_src", "I_in", "I_out"]
-        )
-        cols = [self.times, *self.phi, *self.v, self.v_source, self.i_in, self.i_out]
-        _write_csv(path, header, cols)
-
-    def field_dump(self, path) -> None:
-        """Long-format (t, cell, phi, v, u_cell) dump for colorplots."""
-        n, nt = self.phi.shape
-        t = np.repeat(self.times, n)
-        cell = np.tile(np.arange(1, n + 1, dtype=float), nt)
-        phi = self.phi.T.ravel()
-        v = self.v.T.ravel()
-        u = self.u_cell.T.ravel()
-        _write_csv(path, ["t", "cell", "phi", "v", "u_cell"], [t, cell, phi, v, u])
-
-
-def _write_csv(path, header: list[str], cols: list[np.ndarray]) -> None:
-    """Write equal-length columns as CSV, each float in shortest round-trip
-    form; rows are formatted a block at a time to bound memory."""
-    cols = [np.asarray(c, dtype=float) for c in cols]
-    step = _CSV_BLOCK_ROWS
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, cols[0].size, step):
-            block = zip(*[map(repr, c[start:start + step].tolist()) for c in cols])
-            fh.write("\n".join(map(",".join, block)) + "\n")
 
 
 def _lattice(circuit: CircuitParams, boundaries: str) -> tuple:

@@ -219,10 +219,8 @@ class TestCriterion8Properties:
         assert ok
 
     def test_dt_halving_convergence(self):
-        base = run_flat_top(3e-6, 2 * math.pi * 15e9, 200, dt_divisor=200,
-                            keep_spectrum=False)
-        fine = run_flat_top(3e-6, 2 * math.pi * 15e9, 200, dt_divisor=400,
-                            keep_spectrum=False)
+        base = run_flat_top(3e-6, 2 * math.pi * 15e9, 200, dt_divisor=200)
+        fine = run_flat_top(3e-6, 2 * math.pi * 15e9, 200, dt_divisor=400)
         df0 = abs(base.f0 - fine.f0) / fine.f0
         deta = abs(base.eta - fine.eta) / fine.eta
         ok = df0 < 1e-3 and deta < 1e-3
@@ -242,7 +240,6 @@ class TestCriterion8Properties:
         _report("criterion 8e (Parseval)", ok, f"relative error {err:.2e}")
         assert ok
 
-    @pytest.mark.filterwarnings("ignore:beta_c")
     def test_energy_audit_closure(self):
         c = solve_geometry(4e-6, 3.3, 2 * math.pi * 20e9, 5.0, 0.2, 13,
                            r_n=200.0)

@@ -62,7 +62,6 @@ class TestDerive:
         b = derive(_row2_circuit())
         assert a == b
 
-    @pytest.mark.filterwarnings("ignore:beta_c")
     @given(
         i_c=st.floats(5e-7, 2e-5),
         c_j=st.floats(1e-13, 5e-12),
@@ -89,17 +88,6 @@ class TestValidation:
         with pytest.raises(ParameterError, match="n_jtl"):
             CircuitParams(i_c=4e-6, c_j=8e-13, l=8e-12, z_in=0.6, z_out=12.0,
                           n_jtl=1)
-
-    def test_underdamped_warns_not_raises(self):
-        with pytest.warns(UserWarning, match="underdamped"):
-            CircuitParams(i_c=4e-6, c_j=8e-13, l=8e-12, z_in=0.6, z_out=12.0,
-                          r_n=300.0)
-
-    def test_underdamped_notice_names_the_caller(self):
-        with pytest.warns(UserWarning, match="underdamped") as record:
-            CircuitParams(i_c=4e-6, c_j=8e-13, l=8e-12, z_in=0.6, z_out=12.0,
-                          r_n=1000.0)
-        assert record[0].filename == __file__
 
 
 class TestReflectionThresholds:

@@ -168,6 +168,22 @@ class TestRun:
         assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_input_energy_is_a_runtime_error(self, tmp_path, capsys):
+        # the drive energy underflows to 0, so eta has no denominator
+        config = _write(
+            tmp_path, "[scenario]\nid = flat_top\nn_pairs = 2\ntheta_peak = 1e-160\n"
+        )
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 3
+        assert "zero input energy; efficiency undefined" in capsys.readouterr().err
+
+    def test_run_without_band_power(self, tmp_path, capsys):
+        # the output underflows, so the spectrum has no peak to take a band at
+        config = _write(
+            tmp_path, "[scenario]\nid = flat_top\nn_pairs = 2\ntheta_peak = 1e-150\n"
+        )
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 0
+        assert "p_band=-" in capsys.readouterr().out
+
     def test_stable_column_order(self, row2_config, tmp_path, capsys):
         main(["run", "--config", row2_config, "--out", str(tmp_path / "o")])
         line = [

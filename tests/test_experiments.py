@@ -86,18 +86,23 @@ class TestTrainScenarios:
         assert _jtl_length(1.0) == 4    # clamped
 
     def test_flat_top_run_is_deterministic(self):
-        a = run_flat_top(4e-6, 2 * math.pi * 19.6e9, 10, keep_spectrum=False)
-        b = run_flat_top(4e-6, 2 * math.pi * 19.6e9, 10, keep_spectrum=False)
+        a = run_flat_top(4e-6, 2 * math.pi * 19.6e9, 10)
+        b = run_flat_top(4e-6, 2 * math.pi * 19.6e9, 10)
         assert a.summary() == b.summary()
 
     def test_config_embeds_resolved_parameters(self):
-        run = run_flat_top(4e-6, 2 * math.pi * 19.6e9, 8, keep_spectrum=False)
+        run = run_flat_top(4e-6, 2 * math.pi * 19.6e9, 8)
         for key in ("i_c", "l", "c_j", "r_n", "n_jtl", "width", "spacing",
                     "alpha_in", "alpha_out", "seq_duration", "drive_model"):
             assert key in run.config
 
+    def test_eta_bounded_on_passive_run(self):
+        run = run_flat_top(4e-6, 2 * math.pi * 19.6e9, 8)
+        assert 0.0 < run.eta < 1.0
+        assert run.eta == run.power.e_out_fwd / run.power.e_in_fwd
+
     def test_gaussian_defaults(self):
-        run = run_gaussian(4e-6, 2 * math.pi * 17.5e9, 6, keep_spectrum=False)
+        run = run_gaussian(4e-6, 2 * math.pi * 17.5e9, 6)
         assert run.config["lambda_j"] == pytest.approx(2.50)
         assert run.config["n_jtl"] == 4
         assert run.config["theta_peak"] == GAUSSIAN_PEAK_THETA
@@ -111,7 +116,7 @@ class TestTrainScenarios:
         # the generator junction sets the width whatever the line's r_n:
         # full pulse width 2 pi tau_sech = Phi0/(i_c R_SFQ) = 30.71 ps at 3 uA
         kwargs = {} if r_n is None else {"r_n": r_n}
-        run = run_flat_top(3e-6, 2 * math.pi * 17e9, 5, keep_spectrum=False, **kwargs)
+        run = run_flat_top(3e-6, 2 * math.pi * 17e9, 5, **kwargs)
         assert 2 * math.pi * run.config["width"] == pytest.approx(
             30.71e-12, rel=1e-3
         )
@@ -258,7 +263,7 @@ class TestScenarioDispatch:
             run_scenario("nope", {})
 
     def test_dispatch_flat_top(self):
-        report = run_scenario("flat_top", {"n_pairs": 6, "keep_spectrum": False})
+        report = run_scenario("flat_top", {"n_pairs": 6})
         assert report.scenario == "flat_top"
         assert report.runs[0].f0 is not None
 
@@ -298,8 +303,8 @@ class TestDriveModels:
     )
     def test_source_is_incident_train_at_half_area(self, runner, theta_peak):
         # an EMF V behind z_in is the incident wave V/2 on the input line
-        source = runner(n_pairs=5, keep_spectrum=False, drive_model="source")
-        incident = runner(n_pairs=5, keep_spectrum=False, drive_model="incident",
+        source = runner(n_pairs=5, drive_model="source")
+        incident = runner(n_pairs=5, drive_model="incident",
                           theta_peak=theta_peak / 2)
         for name in ("f0", "fwhm", "eta", "power"):
             assert getattr(source, name) == getattr(incident, name), name
@@ -313,7 +318,6 @@ class TestDriveModels:
             run_flat_top(n_pairs=5, drive_model="bogus")
 
 
-@pytest.mark.filterwarnings("ignore:beta_c = .* junctions are underdamped")
 class TestSettle:
     """A 19-extremum train on a nearly lossless 15 GHz line whose first tail,
     half a plasma period, leaves too much energy stored in the line."""

@@ -138,10 +138,6 @@ class TestCompileEnvelope:
         with pytest.raises(ValueError):
             compile_envelope(PhaseEnvelope(theta=()), 50e-12, 5e-12)
 
-    def test_overlap_flagged(self):
-        with pytest.warns(UserWarning, match="overlap"):
-            compile_envelope(PhaseEnvelope.flat_top(3, math.pi), 8e-12, 5e-12)
-
     @given(
         m=st.integers(1, 40),
         peak=st.floats(0.1, 30.0),

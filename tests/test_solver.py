@@ -161,7 +161,6 @@ class TestSimulate:
                           v=traj.v[:, :k], v_source=traj.v_source[:k])
             assert cut.final_stored_energy() == series[k - 1], k
 
-    @pytest.mark.filterwarnings("ignore:beta_c")
     def test_passivity(self):
         # no drive, finite damping and terminations: energy never grows
         c = _circuit(r_n=50.0)
@@ -286,7 +285,6 @@ class TestCompiledKernel:
             initial_phi=phi0,
         )
 
-    @pytest.mark.filterwarnings("ignore:beta_c")
     @settings(max_examples=30, deadline=None)
     @given(
         n_jtl=st.integers(2, 16),
@@ -453,52 +451,6 @@ class TestDispersion:
     def test_non_ring_mode_rejected(self):
         with pytest.raises(ValueError, match="ring mode"):
             dispersion_check(_circuit(n_jtl=12), 0.1234)
-
-
-class TestExports:
-    def test_trajectory_csv(self, tmp_path):
-        c = _circuit(n_jtl=3)
-        traj = simulate(c, None, 2e-10, initial_phi=np.array([0.1, 0.0, 0.0]))
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        header, first = path.read_text().splitlines()[:2]
-        assert header.split(",") == [
-            "t", "phi_1", "phi_2", "phi_3", "v_1", "v_2", "v_3",
-            "V_src", "I_in", "I_out",
-        ]
-        values = [float(x) for x in first.split(",")]
-        assert values[1] == 0.1
-        # shortest round-trip formatting preserves full precision
-        assert repr(float(traj.phi[0, 1])) in path.read_text()
-
-    def test_field_dump(self, tmp_path):
-        c = _circuit(n_jtl=3)
-        traj = simulate(c, None, 1e-10, initial_phi=np.array([0.1, 0.0, 0.0]))
-        path = tmp_path / "fields.csv"
-        traj.field_dump(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,cell,phi,v,u_cell"
-        assert len(lines) == 1 + 3 * traj.times.size
-
-    def test_csv_round_trip(self, tmp_path, monkeypatch):
-        # blocks shorter than the record exercise the block boundaries
-        monkeypatch.setattr(solver, "_CSV_BLOCK_ROWS", 7)
-        c = _circuit(n_jtl=3)
-        traj = simulate(c, None, 1e-10, initial_phi=np.array([0.1, -0.2, 0.0]))
-        traj.to_csv(tmp_path / "traj.csv")
-        back = np.loadtxt(tmp_path / "traj.csv", delimiter=",", skiprows=1)
-        cols = [traj.times, *traj.phi, *traj.v, traj.v_source, traj.i_in, traj.i_out]
-        assert np.array_equal(back, np.column_stack(cols))
-        traj.field_dump(tmp_path / "fields.csv")
-        back = np.loadtxt(tmp_path / "fields.csv", delimiter=",", skiprows=1)
-        assert np.array_equal(back[:, 0], np.repeat(traj.times, 3))
-        assert np.array_equal(back[:, 2], traj.phi.T.ravel())
-        assert np.array_equal(back[:, 4], traj.u_cell.T.ravel())
-
-    def test_u_cell_nonnegative(self):
-        c = _circuit(n_jtl=3)
-        traj = simulate(c, None, 2e-10, initial_phi=np.array([1.0, -0.5, 0.2]))
-        assert np.all(traj.u_cell >= 0.0)
 
 
 class TestConvergence:
