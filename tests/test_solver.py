@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jtlpulse.circuit import PHI0, CircuitParams, derive, solve_geometry
-from jtlpulse import solver
+from jtlpulse import analysis, solver
 from jtlpulse.pulses import PulseTrain, sech_pulse
 from jtlpulse.solver import (
     SolverError,
@@ -451,6 +451,22 @@ class TestDispersion:
     def test_non_ring_mode_rejected(self):
         with pytest.raises(ValueError, match="ring mode"):
             dispersion_check(_circuit(n_jtl=12), 0.1234)
+
+
+class TestExports:
+    def test_csv_round_trip(self, tmp_path, monkeypatch):
+        # the spectrum of a simulated record is the run's CSV export; blocks
+        # shorter than the spectrum exercise the block boundaries
+        monkeypatch.setattr(analysis, "_CSV_BLOCK_ROWS", 7)
+        c = _circuit(n_jtl=3)
+        traj = simulate(c, None, 1e-10, initial_phi=np.array([0.1, -0.2, 0.0]))
+        sp = analysis.psd(traj.v[0], traj.dt)
+        path = tmp_path / "spectrum.csv"
+        sp.to_csv(path)
+        assert path.read_text().splitlines()[0] == "freq,psd"
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, 0], sp.freqs)
+        assert np.array_equal(back[:, 1], sp.psd)
 
 
 class TestConvergence:
