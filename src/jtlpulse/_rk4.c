@@ -2,19 +2,20 @@
  * operation from solver._deriv and solver._rk4_numpy so that both loops
  * give bit-identical trajectories.  Like the numpy loop it only steps:
  * solver.simulate checks the finished record once and reports the first
- * non-finite step.  Build without FMA contraction or fast-math, which would
- * reorder or fuse the roundings:
+ * non-finite step.  lat is solver._lattice, (g_l, g_in, g_out, g_wrap, g_r,
+ * i_c, 1/k_flux, 1/c_j), where a missing end or a lossless junction is a
+ * zero conductance.  Build without FMA contraction or fast-math, which
+ * would reorder or fuse the roundings:
  *
  *     cc -O2 -ffp-contract=off -fPIC -shared -o rk4.so _rk4.c -lm
  */
 #include <math.h>
 
-enum { G_L, G_IN, G_OUT, G_R, I_C, INV_KFLUX, INV_C };
+enum { G_L, G_IN, G_OUT, G_WRAP, G_R, I_C, INV_KFLUX, INV_C };
 
 /* (dphi/dt, dv/dt) at phases p, node voltages u and port EMF vd */
-static void deriv(long n, const double *lat, int ports, int periodic,
-                  const double *p, const double *u, double vd, double *kp,
-                  double *kv)
+static void deriv(long n, const double *lat, const double *p, const double *u,
+                  double vd, double *kp, double *kv)
 {
     for (long i = 0; i < n; i++) {
         double c = 0.0;
@@ -24,18 +25,12 @@ static void deriv(long n, const double *lat, int ports, int periodic,
             c -= p[i] - p[i - 1];
         kv[i] = c * lat[G_L];
     }
-    if (ports) {
-        kv[0] += (vd - u[0]) * lat[G_IN];
-        kv[n - 1] -= u[n - 1] * lat[G_OUT];
-    } else if (periodic) {
-        double wrap = lat[G_L] * (p[0] - p[n - 1]);
-        kv[0] -= wrap;
-        kv[n - 1] += wrap;
-    }
+    double wrap = lat[G_WRAP] * (p[0] - p[n - 1]);
+    kv[0] += (vd - u[0]) * lat[G_IN] - wrap;
+    kv[n - 1] += wrap - u[n - 1] * lat[G_OUT];
     for (long i = 0; i < n; i++) {
         kv[i] -= lat[I_C] * sin(p[i]);
-        if (lat[G_R] != 0.0)
-            kv[i] -= u[i] * lat[G_R];
+        kv[i] -= u[i] * lat[G_R];
         kv[i] *= lat[INV_C];
         kp[i] = lat[INV_KFLUX] * u[i];
     }
@@ -44,9 +39,9 @@ static void deriv(long n, const double *lat, int ports, int periodic,
 /* Advance n_steps from column 0 of the (n, n_steps + 1) row-major records
  * phi_out and v_out, filling the other columns.  v_drive holds the port EMF
  * on the 2 n_steps + 1 point half-step grid; work holds 12 n doubles. */
-void jtl_rk4(long n, long n_steps, double dt, const double *lat, int ports,
-             int periodic, const double *v_drive, double *phi_out,
-             double *v_out, double *work)
+void jtl_rk4(long n, long n_steps, double dt, const double *lat,
+             const double *v_drive, double *phi_out, double *v_out,
+             double *work)
 {
     double *phi = work, *v = work + n, *tp = work + 2 * n, *tv = work + 3 * n;
     double *k1p = work + 4 * n, *k1v = work + 5 * n, *k2p = work + 6 * n,
@@ -61,22 +56,22 @@ void jtl_rk4(long n, long n_steps, double dt, const double *lat, int ports,
     }
     for (long step = 0; step < n_steps; step++) {
         const double *vd = v_drive + 2 * step;
-        deriv(n, lat, ports, periodic, phi, v, vd[0], k1p, k1v);
+        deriv(n, lat, phi, v, vd[0], k1p, k1v);
         for (long i = 0; i < n; i++) {
             tp[i] = phi[i] + half * k1p[i];
             tv[i] = v[i] + half * k1v[i];
         }
-        deriv(n, lat, ports, periodic, tp, tv, vd[1], k2p, k2v);
+        deriv(n, lat, tp, tv, vd[1], k2p, k2v);
         for (long i = 0; i < n; i++) {
             tp[i] = phi[i] + half * k2p[i];
             tv[i] = v[i] + half * k2v[i];
         }
-        deriv(n, lat, ports, periodic, tp, tv, vd[1], k3p, k3v);
+        deriv(n, lat, tp, tv, vd[1], k3p, k3v);
         for (long i = 0; i < n; i++) {
             tp[i] = phi[i] + dt * k3p[i];
             tv[i] = v[i] + dt * k3v[i];
         }
-        deriv(n, lat, ports, periodic, tp, tv, vd[2], k4p, k4v);
+        deriv(n, lat, tp, tv, vd[2], k4p, k4v);
         for (long i = 0; i < n; i++) {
             phi[i] = phi[i] + sixth * (k1p[i] + 2.0 * (k2p[i] + k3p[i]) + k4p[i]);
             v[i] = v[i] + sixth * (k1v[i] + 2.0 * (k2v[i] + k3v[i]) + k4v[i]);

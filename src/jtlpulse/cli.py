@@ -23,6 +23,7 @@ from .analysis import AnalysisError
 from .experiments import (
     SCENARIO_IDS,
     ScenarioError,
+    check_overrides,
     run_scenario,
     scenario_parameters,
 )
@@ -165,19 +166,26 @@ def cmd_derive(args) -> int:
     return 0
 
 
+def _scenario_overrides(conf: dict, scenario: str | None = None) -> tuple:
+    """(scenario id, runner overrides) of a loaded config; the id is None and
+    the overrides empty when neither ``scenario`` nor the file names one."""
+    overrides = {**conf["drive"], **conf["solver"], **conf["scenario"]}
+    sid = overrides.pop("id", None)
+    return scenario or sid, overrides
+
+
 def cmd_validate(args) -> int:
     conf = load_config(args.config)
     if conf["circuit"]:
         circuit_from_config(conf)
+    check_overrides(_scenario_overrides(conf)[1])
     print("configuration ok")
     return 0
 
 
 def cmd_run(args) -> int:
     conf = load_config(args.config, args.scenario)
-    overrides = {**conf["drive"], **conf["solver"], **conf["scenario"]}
-    sid = args.scenario or overrides.get("id")
-    overrides.pop("id", None)
+    sid, overrides = _scenario_overrides(conf, args.scenario)
     if sid is None:
         raise ConfigError("no scenario id given (use --scenario or [scenario] id)")
     if args.dt_divisor is not None:

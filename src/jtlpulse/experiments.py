@@ -619,28 +619,29 @@ def scenario_parameters(scenario: str) -> dict[str, object]:
     return params
 
 
+def check_overrides(overrides: dict, jobs: int | None = None) -> None:
+    """Refuse a dt_divisor below MIN_DT_DIVISOR or a jobs count below 1."""
+    divisor = overrides.get("dt_divisor", MIN_DT_DIVISOR)
+    if divisor < MIN_DT_DIVISOR:
+        raise ScenarioError(f"dt_divisor must be >= {MIN_DT_DIVISOR}, got {divisor!r}")
+    for count in (jobs, overrides.get("jobs")):
+        if count is not None and count < 1:
+            raise ScenarioError(f"jobs must be >= 1, got {count!r}")
+
+
 def run_scenario(
     scenario: str, overrides: dict, jobs: int | None = None
 ) -> ScenarioReport:
-    """Call the scenario's runner with ``overrides`` as keyword arguments;
-    ``jobs`` reaches the runners that take it.  A dt_divisor below
-    MIN_DT_DIVISOR and a jobs count below 1 (the argument or an override)
-    are refused before any runner starts."""
+    """Call the scenario's runner with ``overrides`` as keyword arguments,
+    once ``check_overrides`` passes; ``jobs`` reaches the runners that take it."""
     if scenario not in SCENARIOS:
         raise ScenarioError(
             f"unknown scenario {scenario!r}; valid ids: " + ", ".join(SCENARIO_IDS)
         )
-    kwargs = dict(overrides)
-    if kwargs.get("dt_divisor", MIN_DT_DIVISOR) < MIN_DT_DIVISOR:
-        raise ScenarioError(
-            f"dt_divisor must be >= {MIN_DT_DIVISOR}, got {kwargs['dt_divisor']!r}"
-        )
-    for count in (jobs, kwargs.get("jobs")):
-        if count is not None and count < 1:
-            raise ScenarioError(f"jobs must be >= 1, got {count!r}")
+    check_overrides(overrides, jobs)
     if jobs is not None and "jobs" in scenario_parameters(scenario):
-        kwargs["jobs"] = jobs
-    result = SCENARIOS[scenario](**kwargs)
+        overrides = {**overrides, "jobs": jobs}
+    result = SCENARIOS[scenario](**overrides)
     if isinstance(result, RunResult):
         result = ScenarioReport(scenario, (result,), {"scenario": scenario})
     return result

@@ -124,46 +124,39 @@ class Trajectory:
 
     def dissipated_energy(self) -> float:
         """Energy burned in the junction resistances over the whole record."""
-        if math.isinf(self.circuit.r_n):
-            return 0.0
         p = np.sum(self.v**2, axis=0) / self.circuit.r_n
         return float(np.trapezoid(p, self.times))
 
 
 def _lattice(circuit: CircuitParams, boundaries: str) -> tuple:
-    """Constants of the lattice derivative, in the order ``_deriv`` reads them;
-    entries 1-7 are also the ``lat`` array of _rk4.c, 8-9 its two flags."""
-    if boundaries not in ("ports", "periodic", "open"):
-        raise ValueError(f"unknown boundaries {boundaries!r}")
+    """(g_l, g_in, g_out, g_wrap, g_r, i_c, 1/k_flux, 1/c_j), read by ``_deriv``
+    and as the ``lat`` array of _rk4.c.  A boundary element the lattice lacks,
+    and the resistance of a lossless junction, is a zero conductance."""
     k_flux = PHI0 / (2.0 * math.pi)
-    g_r = 0.0 if math.isinf(circuit.r_n) else 1.0 / circuit.r_n
-    return (
-        circuit.n_jtl, k_flux / circuit.l, 1.0 / circuit.z_in, 1.0 / circuit.z_out,
-        g_r, circuit.i_c, 1.0 / k_flux, 1.0 / circuit.c_j,
-        boundaries == "ports", boundaries == "periodic",
-    )
+    g_l = k_flux / circuit.l
+    ends = {"ports": (1.0 / circuit.z_in, 1.0 / circuit.z_out, 0.0),
+            "periodic": (0.0, 0.0, g_l), "open": (0.0, 0.0, 0.0)}
+    if boundaries not in ends:
+        raise ValueError(f"unknown boundaries {boundaries!r}")
+    return (g_l, *ends[boundaries], 1.0 / circuit.r_n, circuit.i_c, 1.0 / k_flux,
+            1.0 / circuit.c_j)
 
 
 def _deriv(
     p: np.ndarray, u: np.ndarray, vd: float, lattice: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
     """(dphi/dt, dv/dt) at phases p, node voltages u and port EMF vd."""
-    n, g_l, g_in, g_out, g_r, i_c, inv_kflux, inv_c, ports, periodic = lattice
+    g_l, g_in, g_out, g_wrap, g_r, i_c, inv_kflux, inv_c = lattice
     dp = p[1:] - p[:-1]
-    i_cell = np.zeros(n)
+    i_cell = np.zeros(p.size)
     i_cell[:-1] = dp
     i_cell[1:] -= dp
     i_cell *= g_l
-    if ports:
-        i_cell[0] += (vd - u[0]) * g_in
-        i_cell[-1] -= u[-1] * g_out
-    elif periodic:
-        wrap = g_l * (p[0] - p[-1])
-        i_cell[0] -= wrap
-        i_cell[-1] += wrap
+    wrap = g_wrap * (p[0] - p[-1])
+    i_cell[0] += (vd - u[0]) * g_in - wrap
+    i_cell[-1] += wrap - u[-1] * g_out
     i_cell -= i_c * np.sin(p)
-    if g_r:
-        i_cell -= u * g_r
+    i_cell -= u * g_r
     return inv_kflux * u, i_cell * inv_c
 
 
@@ -180,7 +173,11 @@ def simulate(
 
     ``drive`` is the incident wave on the input line, sampled on the RK4
     half-step grid and doubled into the port's Thevenin EMF; None leaves the
-    port undriven.  t_end must exceed the drive's duration.
+    port undriven.  t_end must exceed the drive's duration.  ``boundaries``
+    sets the end conductances of ``_lattice``: "ports" ends cell 1 in z_in
+    and cell N in z_out (g_wrap = 0), "periodic" closes a ring through one
+    more inductor l (g_in = g_out = 0) and "open" zeroes all three.  A
+    lossless junction, r_n = inf, has g_r = 0.
 
     dt defaults to a two-hundredth of the plasma period and must be positive
     and at most a MIN_DT_DIVISOR-th of it.  The voltages start at zero, and
@@ -310,10 +307,8 @@ def _load_kernel():
         _log.warning("compiled RK4 kernel unavailable (%s); using the numpy loop", exc)
         return _rk4_numpy
     kernel.restype = None
-    kernel.argtypes = [
-        ctypes.c_long, ctypes.c_long, ctypes.c_double, ctypes.c_void_p,
-        ctypes.c_int, ctypes.c_int, *[ctypes.c_void_p] * 4,
-    ]
+    kernel.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_double,
+                       *[ctypes.c_void_p] * 5]
 
     def rk4_compiled(phi_out, v_out, v_drive, dt, lattice):
         # the kernel takes raw addresses: every array must stay referenced
@@ -321,9 +316,9 @@ def _load_kernel():
         n = phi_out.shape[0]
         work = np.empty(12 * n)
         kernel(
-            n, phi_out.shape[1] - 1, dt, (ctypes.c_double * 7)(*lattice[1:8]),
-            *lattice[8:], v_drive.ctypes.data, phi_out.ctypes.data,
-            v_out.ctypes.data, work.ctypes.data,
+            n, phi_out.shape[1] - 1, dt, (ctypes.c_double * 8)(*lattice),
+            v_drive.ctypes.data, phi_out.ctypes.data, v_out.ctypes.data,
+            work.ctypes.data,
         )
 
     return rk4_compiled

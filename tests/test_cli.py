@@ -234,6 +234,14 @@ IGNORED_KEYS = [
      "alpha_out"),
 ]
 
+# Configs whose every key resolves but which run refuses before any runner
+# starts; validate must refuse them too, with the same message.
+PRE_RUN_REFUSALS = [
+    ("[scenario]\nid = table1\njobs = 0\n", "jobs must be >= 1, got 0"),
+    ("[scenario]\nid = flat_top\n[solver]\ndt_divisor = 50\n",
+     "dt_divisor must be >= 100, got 50"),
+]
+
 
 class TestKeyResolution:
     @pytest.mark.parametrize("text,key", IGNORED_KEYS)
@@ -248,6 +256,15 @@ class TestKeyResolution:
     def test_validate_matches_run(self, tmp_path, capsys, text, key):
         assert main(["validate", "--config", _write(tmp_path, text)]) == 2
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", PRE_RUN_REFUSALS)
+    def test_validate_refuses_what_run_refuses(self, tmp_path, capsys, text, message):
+        path = _write(tmp_path, text)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert main(["validate", "--config", path]) == 2
+        assert message in capsys.readouterr().err
 
     def test_scenario_flag_retypes_keys(self, tmp_path):
         path = _write(tmp_path, "[scenario]\nid = single_fluxon\nalpha_out = 0.2\n")

@@ -103,6 +103,24 @@ class TestRhs:
         assert np.allclose(d1[0][::-1], d2[0], rtol=1e-13, atol=0)
         assert np.allclose(d1[1][::-1], d2[1], rtol=1e-13, atol=1e-20)
 
+    def test_boundaries_are_conductances(self):
+        c = _circuit()
+        g_l = PHI0 / (2 * math.pi) / c.l
+        # (g_in, g_out, g_wrap) of each boundary condition
+        ends = {name: _lattice(c, name)[1:4] for name in ("ports", "periodic", "open")}
+        assert ends["ports"] == (1.0 / c.z_in, 1.0 / c.z_out, 0.0)
+        assert ends["periodic"] == (0.0, 0.0, g_l)
+        assert ends["open"] == (0.0, 0.0, 0.0)
+        assert _lattice(c, "ports")[0] == g_l
+
+    def test_lossless_junction_is_zero_conductance(self):
+        assert _lattice(_circuit(r_n=50.0), "ports")[4] == 1.0 / 50.0
+        assert _lattice(_circuit(r_n=math.inf), "ports")[4] == 0.0
+
+    def test_unknown_boundaries_refused(self):
+        with pytest.raises(ValueError, match="unknown boundaries 'ring'"):
+            simulate(_circuit(), None, 1e-10, boundaries="ring")
+
 
 class TestSimulate:
     def test_zero_drive_zero_trajectory(self):
@@ -136,6 +154,14 @@ class TestSimulate:
         traj = simulate(c, None, 5e-9, boundaries="open", initial_phi=bump)
         e = traj.stored_energy()
         assert np.max(np.abs(e - e[0])) / e[0] < 1e-3
+
+    def test_lossless_line_dissipates_nothing(self):
+        c = _circuit(r_n=math.inf)
+        train = PulseTrain(pulses=(sech_pulse(PHI0, 20e-12, 1e-10),), duration=2e-10)
+        traj = simulate(c, train, 1e-9)
+        assert np.any(traj.v != 0.0)
+        assert traj.dissipated_energy() == 0.0
+        assert analysis.energy_audit(traj)["e_dissipated"] == 0.0
 
     def test_gauge_invariance(self):
         # shifting all phases by 2 pi m produces no dynamics
