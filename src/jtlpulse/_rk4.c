@@ -2,8 +2,8 @@
  * operation from solver._deriv and solver._rk4_numpy so that both loops
  * give bit-identical trajectories.  Like the numpy loop it only steps:
  * solver.simulate checks the finished record once and reports the first
- * non-finite step.  lat is solver._lattice, (g_l, g_in, g_out, g_wrap, g_r,
- * i_c, 1/k_flux, 1/c_j), where a missing end or a lossless junction is a
+ * non-finite step.  lat is solver._lattice, the 7 doubles (g_l, g_in, g_out,
+ * g_r, i_c, 1/k_flux, 1/c_j), where an open end or a lossless junction is a
  * zero conductance.  Build without FMA contraction or fast-math, which
  * would reorder or fuse the roundings:
  *
@@ -11,7 +11,7 @@
  */
 #include <math.h>
 
-enum { G_L, G_IN, G_OUT, G_WRAP, G_R, I_C, INV_KFLUX, INV_C };
+enum { G_L, G_IN, G_OUT, G_R, I_C, INV_KFLUX, INV_C };
 
 /* (dphi/dt, dv/dt) at phases p, node voltages u and port EMF vd */
 static void deriv(long n, const double *lat, const double *p, const double *u,
@@ -25,9 +25,8 @@ static void deriv(long n, const double *lat, const double *p, const double *u,
             c -= p[i] - p[i - 1];
         kv[i] = c * lat[G_L];
     }
-    double wrap = lat[G_WRAP] * (p[0] - p[n - 1]);
-    kv[0] += (vd - u[0]) * lat[G_IN] - wrap;
-    kv[n - 1] += wrap - u[n - 1] * lat[G_OUT];
+    kv[0] += (vd - u[0]) * lat[G_IN];
+    kv[n - 1] -= u[n - 1] * lat[G_OUT];
     for (long i = 0; i < n; i++) {
         kv[i] -= lat[I_C] * sin(p[i]);
         kv[i] -= u[i] * lat[G_R];

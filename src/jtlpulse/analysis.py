@@ -151,10 +151,10 @@ def power_waves(
 
     a = (v + z0 i) / (2 sqrt(z0)), b = (v - z0 i) / (2 sqrt(z0));
     returns (a^2, b^2) in watts.  ``i`` is the current flowing into the
-    port (toward the system).
+    port (toward the system).  An open end (z0 = inf) has no port waves.
     """
-    if not z0 > 0.0:
-        raise ValueError(f"z0 must be positive, got {z0!r}")
+    if not 0.0 < z0 < math.inf:
+        raise ValueError(f"z0 must be finite and positive, got {z0!r}")
     v = np.asarray(v, dtype=float)
     i = np.asarray(i, dtype=float)
     root = 2.0 * math.sqrt(z0)
@@ -256,7 +256,7 @@ def energy_audit(trajectory: Trajectory) -> dict[str, float]:
     """Account for every joule: in = reflected + transmitted + R_N + stored.
 
     Returns the individual terms plus the relative closure error
-    |in - (out + refl + diss + stored)| / in.
+    |in - (out + refl + diss + stored)| / in.  An open end raises ValueError.
     """
     c = trajectory.circuit
     times = trajectory.times

@@ -31,10 +31,10 @@ class CircuitParams:
     i_c   : junction critical current, A
     c_j   : junction capacitance, F
     l     : series inductance per unit cell, H
-    r_n   : junction damping resistance, Ohm
+    r_n   : junction damping resistance, Ohm (inf: a lossless junction)
     n_jtl : number of unit cells (>= 2)
-    z_in  : input termination impedance, Ohm
-    z_out : output termination impedance, Ohm
+    z_in  : input termination impedance, Ohm (inf: an open end, alpha_in = 0)
+    z_out : output termination impedance, Ohm (inf: an open end, alpha_out = 0)
     """
 
     i_c: float
@@ -46,14 +46,12 @@ class CircuitParams:
     n_jtl: int = 13
 
     def __post_init__(self) -> None:
-        for name in ("i_c", "c_j", "l", "z_in", "z_out"):
+        for name in ("i_c", "c_j", "l", "z_in", "z_out", "r_n"):
             value = getattr(self, name)
-            if not (value > 0.0) or not math.isfinite(value):
-                raise ParameterError(f"{name} must be strictly positive, got {value!r}")
-        # r_n = inf is the lossless-junction idealization used by the
-        # conservation and dispersion checks
-        if not (self.r_n > 0.0) or math.isnan(self.r_n):
-            raise ParameterError(f"r_n must be strictly positive, got {self.r_n!r}")
+            finite = name in ("i_c", "c_j", "l")
+            if not (value > 0.0 and (value < math.inf or not finite)):
+                what = "finite and positive" if finite else "strictly positive"
+                raise ParameterError(f"{name} must be {what}, got {value!r}")
         if int(self.n_jtl) != self.n_jtl or self.n_jtl < 2:
             raise ParameterError(f"n_jtl must be an integer >= 2, got {self.n_jtl!r}")
 

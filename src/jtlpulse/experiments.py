@@ -480,9 +480,10 @@ MAP_DAMPING_QUALITY = 400.0
 
 def _pool_map(fn, tasks: list[tuple], jobs: int | None) -> list:
     """``[fn(*task) for task in tasks]`` on up to ``jobs`` processes (default:
-    one per core); serial when jobs <= 1 or there is a single task."""
+    one per usable core); serial when jobs <= 1 or there is a single task."""
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(*task) for task in tasks]
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:

@@ -8,9 +8,9 @@ v_n = Phi0/(2 pi) dphi_n/dt.  Cell n obeys
 where the neighbor currents flow through the series inductors,
 I = Phi0/(2 pi) (phi_m - phi_n) / l.  At the boundaries the missing
 neighbor term is replaced by the port current: (V_drive - v_1)/z_in on the
-left, -v_N/z_out on the right.  Integration is classic fixed-step RK4 from a
-zero initial state, so results are deterministic and the output grid is
-uniform (FFT-ready).
+left, -v_N/z_out on the right, zero at an open end (z = inf).  Integration
+is classic fixed-step RK4 from a zero initial state, so results are
+deterministic and the output grid is uniform (FFT-ready).
 
 Port convention: a PulseTrain drive specifies the *incident* wave arriving
 on the input line (a fluxon is the sech pulse whose time integral is Phi0).
@@ -128,33 +128,27 @@ class Trajectory:
         return float(np.trapezoid(p, self.times))
 
 
-def _lattice(circuit: CircuitParams, boundaries: str) -> tuple:
-    """(g_l, g_in, g_out, g_wrap, g_r, i_c, 1/k_flux, 1/c_j), read by ``_deriv``
-    and as the ``lat`` array of _rk4.c.  A boundary element the lattice lacks,
-    and the resistance of a lossless junction, is a zero conductance."""
+def _lattice(circuit: CircuitParams) -> tuple:
+    """(g_l, g_in, g_out, g_r, i_c, 1/k_flux, 1/c_j), read by ``_deriv`` and as
+    the ``lat`` array of _rk4.c.  An open end (z = inf) and a lossless
+    junction (r_n = inf) are zero conductances."""
     k_flux = PHI0 / (2.0 * math.pi)
-    g_l = k_flux / circuit.l
-    ends = {"ports": (1.0 / circuit.z_in, 1.0 / circuit.z_out, 0.0),
-            "periodic": (0.0, 0.0, g_l), "open": (0.0, 0.0, 0.0)}
-    if boundaries not in ends:
-        raise ValueError(f"unknown boundaries {boundaries!r}")
-    return (g_l, *ends[boundaries], 1.0 / circuit.r_n, circuit.i_c, 1.0 / k_flux,
-            1.0 / circuit.c_j)
+    return (k_flux / circuit.l, 1.0 / circuit.z_in, 1.0 / circuit.z_out,
+            1.0 / circuit.r_n, circuit.i_c, 1.0 / k_flux, 1.0 / circuit.c_j)
 
 
 def _deriv(
     p: np.ndarray, u: np.ndarray, vd: float, lattice: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
     """(dphi/dt, dv/dt) at phases p, node voltages u and port EMF vd."""
-    g_l, g_in, g_out, g_wrap, g_r, i_c, inv_kflux, inv_c = lattice
+    g_l, g_in, g_out, g_r, i_c, inv_kflux, inv_c = lattice
     dp = p[1:] - p[:-1]
     i_cell = np.zeros(p.size)
     i_cell[:-1] = dp
     i_cell[1:] -= dp
     i_cell *= g_l
-    wrap = g_wrap * (p[0] - p[-1])
-    i_cell[0] += (vd - u[0]) * g_in - wrap
-    i_cell[-1] += wrap - u[-1] * g_out
+    i_cell[0] += (vd - u[0]) * g_in
+    i_cell[-1] -= u[-1] * g_out
     i_cell -= i_c * np.sin(p)
     i_cell -= u * g_r
     return inv_kflux * u, i_cell * inv_c
@@ -166,18 +160,15 @@ def simulate(
     t_end: float,
     dt: float | None = None,
     *,
-    boundaries: str = "ports",
     initial_phi: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate the lattice under ``drive`` from t = 0 to (at least) t_end.
 
     ``drive`` is the incident wave on the input line, sampled on the RK4
     half-step grid and doubled into the port's Thevenin EMF; None leaves the
-    port undriven.  t_end must exceed the drive's duration.  ``boundaries``
-    sets the end conductances of ``_lattice``: "ports" ends cell 1 in z_in
-    and cell N in z_out (g_wrap = 0), "periodic" closes a ring through one
-    more inductor l (g_in = g_out = 0) and "open" zeroes all three.  A
-    lossless junction, r_n = inf, has g_r = 0.
+    port undriven.  t_end must exceed the drive's duration.  Cell 1 ends in
+    z_in and cell N in z_out: an infinite termination is an open end, which
+    no drive reaches, and r_n = inf a lossless junction.
 
     dt defaults to a two-hundredth of the plasma period and must be positive
     and at most a MIN_DT_DIVISOR-th of it.  The voltages start at zero, and
@@ -224,8 +215,7 @@ def simulate(
     phi_out[:, 0] = phi
     v_out[:, 0] = 0.0
 
-    lattice = _lattice(circuit, boundaries)
-    _rk4_loop()(phi_out, v_out, v_drive, dt, lattice)
+    _rk4_loop()(phi_out, v_out, v_drive, dt, _lattice(circuit))
     bad = ~(np.isfinite(phi_out[:, 1:]) & np.isfinite(v_out[:, 1:])).all(axis=0)
     if bad.any():
         step = int(bad.argmax()) + 1
@@ -316,7 +306,7 @@ def _load_kernel():
         n = phi_out.shape[0]
         work = np.empty(12 * n)
         kernel(
-            n, phi_out.shape[1] - 1, dt, (ctypes.c_double * 8)(*lattice),
+            n, phi_out.shape[1] - 1, dt, (ctypes.c_double * len(lattice))(*lattice),
             v_drive.ctypes.data, phi_out.ctypes.data, v_out.ctypes.data,
             work.ctypes.data,
         )
@@ -350,34 +340,27 @@ def _compile_kernel(path: Path) -> None:
 def dispersion_check(circuit: CircuitParams, k: float) -> float:
     """Measured small-signal frequency of lattice wavenumber ``k`` (rad/cell).
 
-    Seeds a cosine profile of the requested wavenumber, 1e-3 rad in
-    amplitude, on a damping-free periodic ring, integrates 12 periods of the
-    predicted frequency at a four-hundredth of the plasma period per step,
-    and extracts the oscillation frequency of the mode amplitude from zero
-    crossings.  The linearized lattice predicts
+    Seeds the standing mode cos(k (j + 1/2)), 1e-3 rad in amplitude, on the
+    damping-free open chain (r_n = z_in = z_out = inf), integrates 12 periods
+    of the predicted frequency at a four-hundredth of the plasma period per
+    step, and extracts the oscillation frequency of the mode amplitude from
+    zero crossings.  The linearized lattice predicts
     omega(k) = omega_p sqrt(1 + 4 lambda_j^2 sin^2(k/2)).
     """
     derived = derive(circuit)
     n = circuit.n_jtl
-    # admit only wavenumbers commensurate with the ring
-    m = k * n / (2.0 * math.pi)
-    if abs(m - round(m)) > 1e-9:
-        raise ValueError(f"k = {k!r} is not a ring mode (k n / 2 pi must be integer)")
+    # the open chain of n cells holds k = pi m / n for 0 <= m < n
+    m = k * n / math.pi
+    if abs(m - round(m)) > 1e-9 or not 0 <= round(m) < n:
+        raise ValueError(f"k = {k!r} is not a mode of the open chain of {n} cells")
     omega_pred = derived.omega_p * math.sqrt(
         1.0 + 4.0 * derived.lambda_j**2 * math.sin(k / 2.0) ** 2
     )
-    profile = np.cos(k * np.arange(n))
-    lossless = replace(circuit, r_n=math.inf)
+    profile = np.cos(k * (np.arange(n) + 0.5))
+    lossless = replace(circuit, r_n=math.inf, z_in=math.inf, z_out=math.inf)
     t_end = 12.0 * 2.0 * math.pi / omega_pred
     dt = (2.0 * math.pi / derived.omega_p) / 400
-    traj = simulate(
-        lossless,
-        None,
-        t_end,
-        dt,
-        boundaries="periodic",
-        initial_phi=1e-3 * profile,
-    )
+    traj = simulate(lossless, None, t_end, dt, initial_phi=1e-3 * profile)
     # project onto the seeded mode; normalization is irrelevant for timing
     mode = profile @ traj.phi
     return _zero_crossing_frequency(traj.times, mode)

@@ -13,6 +13,7 @@ from jtlpulse.analysis import (
     breather_fit,
     energy_audit,
     esd,
+    forward_energy,
     power_waves,
     psd,
 )
@@ -80,8 +81,10 @@ class TestPowerWaves:
         assert np.array_equal(p_fwd, p_bwd)
 
     def test_z0_domain(self):
-        with pytest.raises(ValueError):
-            power_waves(np.ones(4), np.ones(4), -1.0)
+        # an open end (z0 = inf) has no power waves either
+        for z0 in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="z0 must be finite and positive"):
+                power_waves(np.ones(4), np.ones(4), z0)
 
 
 class TestBandPower:
@@ -182,3 +185,17 @@ class TestEnergyAudit:
         assert audit["closure_rel"] < 0.01
         assert audit["e_in_fwd"] > 0
         assert audit["e_dissipated"] >= 0
+
+    def test_open_line_has_no_port_energy(self):
+        # a lossless line with both ends open: its port currents are exactly
+        # zero, and the audit refuses the ports instead of inventing energy
+        # reflected through them
+        c = CircuitParams(i_c=4e-6, c_j=770e-15, l=7.56e-12, z_in=math.inf,
+                          z_out=math.inf, r_n=math.inf, n_jtl=13)
+        bump = 0.3 * np.exp(-0.5 * (np.arange(13) - 6.0) ** 2 / 2.0**2)
+        traj = simulate(c, None, 5e-9, initial_phi=bump)
+        assert np.all(traj.i_in == 0.0) and np.all(traj.i_out == 0.0)
+        with pytest.raises(ValueError, match="z0 must be finite and positive, got inf"):
+            energy_audit(traj)
+        with pytest.raises(ValueError, match="z0 must be finite and positive, got inf"):
+            forward_energy(traj.v_node1, traj.i_in, c.z_in, traj.times)

@@ -50,6 +50,23 @@ class TestDerive:
         assert main(["derive", "--config", str(path)]) == 2
         assert "i_c" in capsys.readouterr().err
 
+    def test_open_output_end(self, tmp_path, capsys):
+        path = tmp_path / "open.ini"
+        path.write_text("[circuit]\ni_c = 4e-6\nc_j = 8e-13\nl = 8e-12\nz_out = inf\n")
+        assert main(["derive", "--config", str(path)]) == 0
+        assert "alpha_out = 0\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "key, value", [("z_in", "nan"), ("z_in", "0"), ("z_in", "-1"), ("i_c", "inf")]
+    )
+    def test_bad_value_names_field(self, tmp_path, capsys, key, value):
+        keys = {"i_c": "4e-6", "c_j": "8e-13", "l": "8e-12", key: value}
+        path = tmp_path / "bad.ini"
+        lines = [f"{k} = {v}" for k, v in keys.items()]
+        path.write_text("\n".join(["[circuit]", *lines]) + "\n")
+        assert main(["derive", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["derive", "--config", "/nonexistent.ini"]) == 2
         assert "cannot read" in capsys.readouterr().err

@@ -257,6 +257,20 @@ class TestEfficiencyMap:
         assert serial.to_json() == parallel.to_json()
 
 
+class TestPoolMap:
+    def test_default_counts_usable_cores(self, monkeypatch):
+        # confined to one core, the default pool size is serial: no
+        # process pool is built, whatever the machine's core count
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built on one usable core")
+
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        assert experiments._pool_map(pow, [(2, 3), (3, 2)], None) == [8, 9]
+
+
 class TestScenarioDispatch:
     def test_unknown_id_rejected_with_listing(self):
         with pytest.raises(ScenarioError, match="single_fluxon"):

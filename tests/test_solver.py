@@ -29,6 +29,11 @@ def _circuit(n_jtl=13, r_n=None, f_p=15e9, lam=3.17, i_c=4e-6):
     return solve_geometry(i_c, lam, 2 * math.pi * f_p, 5.0, 0.25, n_jtl, **kwargs)
 
 
+def _open(c):
+    """``c`` with both ends left open (infinite terminations)."""
+    return replace(c, z_in=math.inf, z_out=math.inf)
+
+
 @pytest.fixture(scope="module")
 def kernel():
     """The compiled RK4 loop; a test of the C path fails if it did not load."""
@@ -59,16 +64,16 @@ def _assert_loops_identical(monkeypatch, kernel, *args, **kwargs):
 class TestRhs:
     def test_vacuum_equilibrium(self):
         c = _circuit()
-        dphi, dv = _deriv(np.zeros(13), np.zeros(13), 0.0, _lattice(c, "ports"))
+        dphi, dv = _deriv(np.zeros(13), np.zeros(13), 0.0, _lattice(c))
         assert np.all(dphi == 0.0)
         assert np.all(dv == 0.0)
 
     def test_shifted_equilibrium(self):
-        # uniform 2 pi with open boundaries is an equilibrium up to the
-        # floating point residue of sin(2 pi)
-        c = _circuit()
+        # uniform 2 pi with open ends is an equilibrium up to the floating
+        # point residue of sin(2 pi)
+        c = _open(_circuit())
         phi = np.full(13, 2 * math.pi)
-        dphi, dv = _deriv(phi, np.zeros(13), 0.0, _lattice(c, "open"))
+        dphi, dv = _deriv(phi, np.zeros(13), 0.0, _lattice(c))
         scale = c.i_c / c.c_j
         assert np.all(dphi == 0.0)
         assert np.max(np.abs(dv)) < 1e-12 * scale
@@ -77,7 +82,7 @@ class TestRhs:
         c = _circuit()
         v = np.zeros(13)
         v[0], v[-1] = 2e-6, 3e-6
-        dphi, dv = _deriv(np.zeros(13), v, 10e-6, _lattice(c, "ports"))
+        dphi, dv = _deriv(np.zeros(13), v, 10e-6, _lattice(c))
         # left: (V_drive - v1)/z_in ; right: -vN/z_out (minus damping terms)
         expect_left = ((10e-6 - 2e-6) / c.z_in - 2e-6 / c.r_n) / c.c_j
         expect_right = (-3e-6 / c.z_out - 3e-6 / c.r_n) / c.c_j
@@ -96,9 +101,9 @@ class TestRhs:
         )
         phi = rng.normal(0, 1, 13)
         v = rng.normal(0, 1e-5, 13)
-        d1 = _deriv(phi, v, 0.0, _lattice(c, "ports"))
+        d1 = _deriv(phi, v, 0.0, _lattice(c))
         d2 = _deriv(
-            phi[::-1].copy(), v[::-1].copy(), 0.0, _lattice(mirrored, "ports")
+            phi[::-1].copy(), v[::-1].copy(), 0.0, _lattice(mirrored)
         )
         assert np.allclose(d1[0][::-1], d2[0], rtol=1e-13, atol=0)
         assert np.allclose(d1[1][::-1], d2[1], rtol=1e-13, atol=1e-20)
@@ -106,20 +111,14 @@ class TestRhs:
     def test_boundaries_are_conductances(self):
         c = _circuit()
         g_l = PHI0 / (2 * math.pi) / c.l
-        # (g_in, g_out, g_wrap) of each boundary condition
-        ends = {name: _lattice(c, name)[1:4] for name in ("ports", "periodic", "open")}
-        assert ends["ports"] == (1.0 / c.z_in, 1.0 / c.z_out, 0.0)
-        assert ends["periodic"] == (0.0, 0.0, g_l)
-        assert ends["open"] == (0.0, 0.0, 0.0)
-        assert _lattice(c, "ports")[0] == g_l
+        # (g_l, g_in, g_out): an infinite termination is an open end
+        assert _lattice(c)[:3] == (g_l, 1.0 / c.z_in, 1.0 / c.z_out)
+        assert _lattice(_open(c))[:3] == (g_l, 0.0, 0.0)
+        assert _lattice(replace(c, z_out=math.inf))[1:3] == (1.0 / c.z_in, 0.0)
 
     def test_lossless_junction_is_zero_conductance(self):
-        assert _lattice(_circuit(r_n=50.0), "ports")[4] == 1.0 / 50.0
-        assert _lattice(_circuit(r_n=math.inf), "ports")[4] == 0.0
-
-    def test_unknown_boundaries_refused(self):
-        with pytest.raises(ValueError, match="unknown boundaries 'ring'"):
-            simulate(_circuit(), None, 1e-10, boundaries="ring")
+        assert _lattice(_circuit(r_n=50.0))[3] == 1.0 / 50.0
+        assert _lattice(_circuit(r_n=math.inf))[3] == 0.0
 
 
 class TestSimulate:
@@ -133,25 +132,25 @@ class TestSimulate:
         # uniform seeding of a lossless open pair leaves each junction an
         # isolated small pendulum at omega_p
         c = CircuitParams(
-            i_c=4e-6, c_j=770e-15, l=7.56e-12, z_in=0.63, z_out=12.6,
+            i_c=4e-6, c_j=770e-15, l=7.56e-12, z_in=math.inf, z_out=math.inf,
             r_n=math.inf, n_jtl=2,
         )
         d = derive(c)
         t_end = 12 * 2 * math.pi / d.omega_p
         traj = simulate(
             c, None, t_end, dt=2 * math.pi / d.omega_p / 400,
-            boundaries="open", initial_phi=np.array([1e-3, 1e-3]),
+            initial_phi=np.array([1e-3, 1e-3]),
         )
         f = _zero_crossing_frequency(traj.times, traj.phi[0])
         assert f == pytest.approx(d.omega_p / (2 * math.pi), rel=1e-3)
 
     def test_lossless_energy_conservation(self):
         c = CircuitParams(
-            i_c=4e-6, c_j=770e-15, l=7.56e-12, z_in=0.63, z_out=12.6,
+            i_c=4e-6, c_j=770e-15, l=7.56e-12, z_in=math.inf, z_out=math.inf,
             r_n=math.inf, n_jtl=13,
         )
         bump = 0.3 * np.exp(-0.5 * (np.arange(13) - 6.0) ** 2 / 2.0**2)
-        traj = simulate(c, None, 5e-9, boundaries="open", initial_phi=bump)
+        traj = simulate(c, None, 5e-9, initial_phi=bump)
         e = traj.stored_energy()
         assert np.max(np.abs(e - e[0])) / e[0] < 1e-3
 
@@ -165,11 +164,8 @@ class TestSimulate:
 
     def test_gauge_invariance(self):
         # shifting all phases by 2 pi m produces no dynamics
-        c = _circuit()
-        traj = simulate(
-            c, None, 1e-9, boundaries="open",
-            initial_phi=np.full(13, 4 * math.pi),
-        )
+        c = _open(_circuit())
+        traj = simulate(c, None, 1e-9, initial_phi=np.full(13, 4 * math.pi))
         assert np.max(np.abs(traj.phi - 4 * math.pi)) < 1e-6
         assert np.max(np.abs(traj.v)) < 1e-12
 
@@ -299,16 +295,17 @@ def _train(triples):
 
 class TestCompiledKernel:
     @pytest.mark.parametrize("r_n", [None, math.inf], ids=["r_n", "lossless"])
-    @pytest.mark.parametrize("boundaries", ["ports", "periodic", "open"])
+    @pytest.mark.parametrize("open_ends", [False, True], ids=["ports", "open"])
     @pytest.mark.parametrize("n_jtl", [4, 5, 12, 13])
-    def test_matches_numpy_loop(self, kernel, monkeypatch, n_jtl, boundaries, r_n):
+    def test_matches_numpy_loop(self, kernel, monkeypatch, n_jtl, open_ends, r_n):
         c = _circuit(n_jtl=n_jtl, r_n=r_n)
+        if open_ends:
+            c = _open(c)
         train = _train([(1e-10, 1.0, 20e-12), (2e-10, -1.0, 20e-12),
                         (3e-10, 0.5, 10e-12)])
         phi0 = np.random.default_rng(n_jtl).normal(0.0, 1.0, n_jtl)
         _assert_loops_identical(
-            monkeypatch, kernel, c, train, 1e-9, boundaries=boundaries,
-            initial_phi=phi0,
+            monkeypatch, kernel, c, train, 1e-9, initial_phi=phi0
         )
 
     @settings(max_examples=30, deadline=None)
@@ -320,7 +317,7 @@ class TestCompiledKernel:
         alpha_in=st.floats(0.1, 5.0),
         alpha_out=st.floats(0.05, 5.0),
         r_n=st.one_of(st.none(), st.just(math.inf), st.floats(10.0, 1e3)),
-        boundaries=st.sampled_from(["ports", "periodic", "open"]),
+        open_ends=st.booleans(),
         pulses=st.lists(
             st.tuples(st.floats(0.0, 2e-10), st.floats(-2.0, 2.0),
                       st.floats(2e-12, 30e-12)),
@@ -330,20 +327,21 @@ class TestCompiledKernel:
         n_steps=st.integers(1, 600),
     )
     def test_matches_numpy_loop_on_random_circuits(
-        self, kernel, n_jtl, i_c, lam, f_p, alpha_in, alpha_out, r_n, boundaries,
+        self, kernel, n_jtl, i_c, lam, f_p, alpha_in, alpha_out, r_n, open_ends,
         pulses, seed, n_steps,
     ):
         kwargs = {} if r_n is None else {"r_n": r_n}
         c = solve_geometry(i_c, lam, 2 * math.pi * f_p, alpha_in, alpha_out,
                            n_jtl, **kwargs)
+        if open_ends:
+            c = _open(c)
         train = _train(pulses)
         dt = 2 * math.pi / derive(c).omega_p / 200
         phi0 = np.random.default_rng(seed).normal(0.0, 2.0, n_jtl)
         t_end = max(n_steps * dt, 1.01 * train.duration)
         with pytest.MonkeyPatch.context() as mp:
             _assert_loops_identical(
-                mp, kernel, c, train, t_end, dt, boundaries=boundaries,
-                initial_phi=phi0,
+                mp, kernel, c, train, t_end, dt, initial_phi=phi0
             )
 
     def test_nonfinite_message_matches_numpy_loop(self, kernel, monkeypatch):
@@ -448,7 +446,7 @@ class TestKernelCache:
 
 
 class TestDispersion:
-    @pytest.mark.parametrize("mode", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("mode", [1, 2, 3, 4])
     def test_matches_lattice_relation(self, mode):
         # omega(k) = omega_p sqrt(1 + 4 lambda^2 sin^2(k/2)) to 0.5%
         c = _circuit(n_jtl=12, lam=3.17)
@@ -461,22 +459,26 @@ class TestDispersion:
         assert measured == pytest.approx(predicted / (2 * math.pi), rel=5e-3)
 
     def test_band_edge_value(self):
-        # k = pi at lambda = 3.17: omega = 6.42 omega_p (hand evaluation)
+        # top mode of the 12-cell open chain, k = 11 pi / 12, at
+        # lambda = 3.17: omega = 6.365 omega_p (hand evaluation)
         c = _circuit(n_jtl=12, lam=3.17)
         d = derive(c)
-        measured = dispersion_check(c, math.pi)
+        measured = dispersion_check(c, 11 * math.pi / 12)
         assert measured == pytest.approx(
-            6.42 * d.omega_p / (2 * math.pi), rel=5e-3
+            6.365 * d.omega_p / (2 * math.pi), rel=5e-3
         )
 
     def test_monotone_in_k(self):
         c = _circuit(n_jtl=12, lam=3.17)
-        freqs = [dispersion_check(c, 2 * math.pi * m / 12) for m in (1, 2, 3, 4, 5, 6)]
+        freqs = [dispersion_check(c, math.pi * m / 12) for m in range(1, 12)]
         assert all(b > a for a, b in zip(freqs, freqs[1:]))
 
     def test_non_ring_mode_rejected(self):
-        with pytest.raises(ValueError, match="ring mode"):
-            dispersion_check(_circuit(n_jtl=12), 0.1234)
+        # the open chain of 12 cells holds k = pi m / 12 for 0 <= m < 12 only
+        c = _circuit(n_jtl=12)
+        for k in (0.1234, math.pi, -math.pi / 12):
+            with pytest.raises(ValueError, match="not a mode of the open chain"):
+                dispersion_check(c, k)
 
 
 class TestExports:
