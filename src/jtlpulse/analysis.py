@@ -8,14 +8,32 @@ by the record or sequence duration turns energies into powers.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import logging
 import math
+import subprocess
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import solver
 from .solver import Trajectory
 
 _CSV_BLOCK_ROWS = 1 << 16
+# Longest repr of a double, "-2.2250738585072014e-308", and its separator.
+_CSV_FIELD_BYTES = 25
+# Checked against repr before the compiled formatter is used: powers of 2
+# and 10 across the range, subnormals, both notation thresholds, and values
+# whose 17th digit is an exact tie (2^-25, 2^50 + 1/4).
+_CSV_PROBE = np.array(
+    [2.0**k for k in range(-1074, 1024, 31)] + [10.0**k for k in range(-323, 309, 23)]
+    + [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+       2.225073858507201e-308, 1.7976931348623157e308, 9.999999999999999e-05,
+       0.0001, 9999999999999998.0, 1e16, 1e22, 1e23, 0.1, 1.0 / 3.0, -2.5, 123.0,
+       2.0**-25, 2.0**50 + 0.25]
+)
+_log = logging.getLogger(__name__)
 
 
 class AnalysisError(RuntimeError):
@@ -44,15 +62,81 @@ class SpectrumResult:
 
 
 def _write_csv(path, header: list[str], cols: list[np.ndarray]) -> None:
-    """Write equal-length columns as CSV, each float in shortest round-trip
-    form; rows are formatted a block at a time to bound memory."""
-    cols = [np.asarray(c, dtype=float) for c in cols]
+    """Write equal-length columns as CSV, each float as ``repr`` spells it
+    (shortest round-trip digits).  Rows are formatted a block of
+    _CSV_BLOCK_ROWS at a time, to bound memory, by ``_csv_rows()``: the
+    compiled formatter of _repr.c when it loads and passes its probe, else
+    ``_repr_rows``, the reference; both give the same bytes."""
+    table = np.column_stack([np.asarray(c, dtype=float) for c in cols])
+    rows = _csv_rows()
     step = _CSV_BLOCK_ROWS
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, cols[0].size, step):
-            block = zip(*[map(repr, c[start:start + step].tolist()) for c in cols])
-            fh.write("\n".join(map(",".join, block)) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, table.shape[0], step):
+            fh.write(rows(table[start:start + step]))
+
+
+def _repr_rows(block: np.ndarray) -> bytes:
+    """The CSV lines of a (rows, columns) block, each float by ``repr``."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
+
+
+@functools.cache
+def _csv_rows():
+    """The CSV row formatter ``_write_csv`` uses, chosen on the first call."""
+    return _load_formatter()
+
+
+def _load_formatter():
+    """``jtl_csv_rows`` of the compiled library, wrapped to take the
+    arguments of ``_repr_rows``.
+
+    It is used only if it prints every value of _CSV_PROBE as ``repr``
+    does.  Any failure logs one warning and returns ``_repr_rows``; the RK4
+    loop's own choice does not depend on it.
+    """
+    try:
+        format_rows = solver._open_library().jtl_csv_rows
+    except (OSError, AttributeError, RuntimeError, subprocess.SubprocessError) as exc:
+        _log.warning("compiled CSV formatter unavailable (%s); using repr", exc)
+        return _repr_rows
+    format_rows.restype = ctypes.c_long
+    format_rows.argtypes = [ctypes.c_long, ctypes.c_long, *[ctypes.c_void_p] * 4]
+    pow5, pow5_inv = _ryu_tables()
+
+    def csv_rows_compiled(block):
+        # the formatter takes raw addresses: every array must stay referenced
+        block = np.ascontiguousarray(block, dtype=float)
+        out = np.empty(block.size * _CSV_FIELD_BYTES, dtype=np.uint8)
+        n = format_rows(*block.shape, block.ctypes.data, pow5.ctypes.data,
+                        pow5_inv.ctypes.data, out.ctypes.data)
+        return out[:n].tobytes()
+
+    probe = _CSV_PROBE.reshape(-1, 1)
+    if csv_rows_compiled(probe) != _repr_rows(probe):
+        _log.warning("compiled CSV formatter differs from repr on its probe; "
+                     "using repr")
+        return _repr_rows
+    return csv_rows_compiled
+
+
+def _ryu_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The 128-bit power-of-five tables of _repr.c, computed exactly:
+    5^i scaled to 125 bits for i < 326, and floor(2^(bitlen(5^q) + 124) /
+    5^q) + 1 for q < 292, each as a (low, high) pair of uint64 words."""
+    pow5, pow5_inv = [], []
+    p = 1
+    for i in range(326):
+        bits = p.bit_length()
+        pow5.append(p >> (bits - 125) if bits > 125 else p << (125 - bits))
+        if i < 292:
+            pow5_inv.append((1 << (bits + 124)) // p + 1)
+        p *= 5
+    return tuple(
+        np.frombuffer(b"".join(v.to_bytes(16, "little") for v in table), dtype="<u8")
+        .astype(np.uint64)  # native byte order
+        for table in (pow5, pow5_inv)
+    )
 
 
 @dataclass(frozen=True)
@@ -220,25 +304,20 @@ def breather_fit(trajectory: Trajectory, cell: int = -1) -> BreatherFit:
     if scale <= 0.0:
         raise InsufficientDataError("ring-down record is identically zero")
     flips = np.nonzero(np.signbit(v[1:]) != np.signbit(v[:-1]))[0] + 1
-    idx = np.array(
-        [a + int(np.argmax(x[a:b])) for a, b in zip(flips, flips[1:])], dtype=int
-    )
+    idx = _segment_argmax(x, flips)
     idx = idx[x[idx] > 1e-3 * scale]
     if idx.size < 4:
         raise InsufficientDataError(
             f"only {idx.size} envelope peaks above threshold; need >= 4"
         )
     # refine each peak with a 3-point parabola
-    tp = np.empty(idx.size)
-    ap = np.empty(idx.size)
-    dt = trajectory.dt
-    for j, k in enumerate(idx):
-        y0, y1, y2 = x[k - 1], x[k], x[k + 1]
-        denom = y0 - 2.0 * y1 + y2
-        shift = 0.0 if denom == 0.0 else 0.5 * (y0 - y2) / denom
-        shift = float(np.clip(shift, -0.5, 0.5))
-        tp[j] = t[k] + shift * dt
-        ap[j] = y1 - 0.25 * (y0 - y2) * shift
+    y0, y1, y2 = x[idx - 1], x[idx], x[idx + 1]
+    denom = y0 - 2.0 * y1 + y2
+    shift = np.divide(0.5 * (y0 - y2), denom, out=np.zeros(idx.size),
+                      where=denom != 0.0)
+    shift = np.clip(shift, -0.5, 0.5)
+    tp = t[idx] + shift * trajectory.dt
+    ap = y1 - 0.25 * (y0 - y2) * shift
     f_osc = 1.0 / (2.0 * float(np.mean(np.diff(tp))))
     slope, intercept = np.polyfit(tp, np.log(ap), 1)
     if slope >= 0.0:
@@ -250,6 +329,20 @@ def breather_fit(trajectory: Trajectory, cell: int = -1) -> BreatherFit:
         fit_residual=float(np.sqrt(np.mean(resid**2))),
         n_peaks=int(idx.size),
     )
+
+
+def _segment_argmax(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Index of the first maximum of x[a:b] for each consecutive pair (a, b)
+    of the increasing ``bounds``, as ``a + np.argmax(x[a:b])`` gives it."""
+    if bounds.size < 2:
+        return np.zeros(0, dtype=int)
+    lo = bounds[0]
+    seg = x[lo:bounds[-1]]
+    starts = bounds[:-1] - lo
+    peak = np.maximum.reduceat(seg, starts)
+    at_peak = seg == np.repeat(peak, np.diff(bounds))
+    first = np.where(at_peak, np.arange(seg.size), seg.size)
+    return lo + np.minimum.reduceat(first, starts)
 
 
 def energy_audit(trajectory: Trajectory) -> dict[str, float]:

@@ -24,13 +24,18 @@ The stepping loop runs in C: _rk4.c transcribes ``_deriv`` and the numpy
 loop ``_rk4_numpy`` operation for operation, and is built without FMA
 contraction, so both loops give bit-identical trajectories.  Both loops
 only step; ``simulate`` checks the finished record once and reports the
-first non-finite step.  On the first ``simulate`` call the source is
-compiled with the C compiler Python was built with (sysconfig's CC, else
-``cc``) into $XDG_CACHE_HOME/jtlpulse (default ~/.cache/jtlpulse), under a
-name keyed by the source and the flags, and later calls and processes load
-that library.  If it cannot be built or loaded, or the C library's sin
-differs from np.sin, one logged warning says so and the numpy loop runs
-instead.
+first non-finite step.
+
+The compiled library holds that loop and the spectrum CSV formatter of
+_repr.c (``analysis._csv_rows``).  ``_open_library`` builds both sources
+in one compiler run, with the C compiler Python was built with
+(sysconfig's CC, else ``cc``), into $XDG_CACHE_HOME/jtlpulse (default
+~/.cache/jtlpulse), under a name keyed by the sources and the flags; later
+calls and processes load that build.  Each of its two users loads it on
+its own first use and falls back on its own, with one logged warning, to
+its Python reference if the library cannot be built or loaded or fails
+that user's check: the numpy loop if the C library's sin differs from
+np.sin, ``repr`` if the formatter misprints a probe value.
 """
 
 from __future__ import annotations
@@ -55,8 +60,9 @@ DEFAULT_DT_DIVISOR = 200
 # Coarsest step: a hundredth of the plasma period.
 MIN_DT_DIVISOR = 100
 _RK4_SOURCE = Path(__file__).with_name("_rk4.c")
+_REPR_SOURCE = Path(__file__).with_name("_repr.c")
 # No FMA contraction (or fast-math): the C loop must round like numpy.
-_RK4_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _log = logging.getLogger(__name__)
 
 
@@ -267,25 +273,15 @@ def _rk4_loop():
 
 
 def _load_kernel():
-    """``jtl_rk4`` of _rk4.c from the user cache, compiled there on a miss,
-    wrapped to take the arguments of ``_rk4_numpy``.
+    """``jtl_rk4`` of the compiled library, wrapped to take the arguments of
+    ``_rk4_numpy``.
 
-    The library's name carries a CRC-32 of the source and the compiler
-    flags, so an edited source never loads a stale build; a cache hit reads
-    the source and opens the library, and starts no process (hashlib is not
-    used: loading OpenSSL costs more than the whole hit).  The kernel is
-    refused if the C library's sin differs from np.sin, which would break
-    bit-identity with the numpy loop.  Any failure logs one warning and
-    returns ``_rk4_numpy``.
+    The kernel is refused if the C library's sin differs from np.sin, which
+    would break bit-identity with the numpy loop.  Any failure logs one
+    warning and returns ``_rk4_numpy``.
     """
     try:
-        source = _RK4_SOURCE.read_bytes()
-        key = zlib.crc32(source + " ".join(_RK4_CFLAGS).encode())
-        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
-        path = cache / "jtlpulse" / f"rk4-{key:08x}.so"
-        if not path.exists():
-            _compile_kernel(path)
-        lib = ctypes.CDLL(str(path))
+        lib = _open_library()
         x = np.linspace(-50.0, 50.0, 4001)
         libm_sin = np.empty_like(x)
         lib.jtl_sin.argtypes = [ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
@@ -314,9 +310,29 @@ def _load_kernel():
     return rk4_compiled
 
 
-def _compile_kernel(path: Path) -> None:
-    """Build _rk4.c into ``path`` through a temporary file and an atomic
-    rename, so concurrent builds never expose a partial library."""
+def _open_library() -> ctypes.CDLL:
+    """The library built from _rk4.c and _repr.c, from the user cache,
+    compiled there on a miss; raises OSError (or SubprocessError) if it
+    cannot be built or loaded.
+
+    The library's name carries a CRC-32 of both sources and the compiler
+    flags, so an edited source never loads a stale build; a cache hit reads
+    the sources and opens the library, and starts no process (hashlib is
+    not used: loading OpenSSL costs more than the whole hit).
+    """
+    sources = (_RK4_SOURCE, _REPR_SOURCE)
+    key = zlib.crc32(b"".join(s.read_bytes() for s in sources)
+                     + " ".join(_CFLAGS).encode())
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+    path = cache / "jtlpulse" / f"lib-{key:08x}.so"
+    if not path.exists():
+        _compile_library(path, sources)
+    return ctypes.CDLL(str(path))
+
+
+def _compile_library(path: Path, sources: tuple[Path, ...]) -> None:
+    """Build ``sources`` into ``path`` through a temporary file and an
+    atomic rename, so concurrent builds never expose a partial library."""
     import sysconfig  # only a cache miss needs it
 
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -326,7 +342,7 @@ def _compile_kernel(path: Path) -> None:
         cc = (sysconfig.get_config_var("CC") or "cc").split()
         try:
             subprocess.run(
-                [*cc, *_RK4_CFLAGS, "-o", tmp, str(_RK4_SOURCE), "-lm"],
+                [*cc, *_CFLAGS, "-o", tmp, *map(str, sources), "-lm"],
                 check=True, capture_output=True, text=True,
             )
         except subprocess.CalledProcessError as exc:

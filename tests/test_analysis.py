@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jtlpulse import analysis
+from jtlpulse import analysis, experiments
 from jtlpulse.analysis import (
     AnalysisError,
     InsufficientDataError,
@@ -170,6 +171,169 @@ class TestBreatherFit:
         )
         with pytest.raises(AnalysisError):
             breather_fit(grown, 0)
+
+
+def _breather_fit_loop(trajectory, cell=-1):
+    """``breather_fit`` as a loop over the sign-change segments and the
+    peaks, the reference for the array form."""
+    times = trajectory.times
+    sel = times >= trajectory.drive_end
+    if sel.sum() < 8:
+        raise InsufficientDataError("ring-down segment too short")
+    t = times[sel]
+    v = trajectory.v[cell][sel]
+    x = np.abs(v)
+    scale = float(np.max(x))
+    if scale <= 0.0:
+        raise InsufficientDataError("ring-down record is identically zero")
+    flips = np.nonzero(np.signbit(v[1:]) != np.signbit(v[:-1]))[0] + 1
+    idx = np.array(
+        [a + int(np.argmax(x[a:b])) for a, b in zip(flips, flips[1:])], dtype=int
+    )
+    idx = idx[x[idx] > 1e-3 * scale]
+    if idx.size < 4:
+        raise InsufficientDataError(
+            f"only {idx.size} envelope peaks above threshold; need >= 4"
+        )
+    tp = np.empty(idx.size)
+    ap = np.empty(idx.size)
+    dt = trajectory.dt
+    for j, k in enumerate(idx):
+        y0, y1, y2 = x[k - 1], x[k], x[k + 1]
+        denom = y0 - 2.0 * y1 + y2
+        shift = 0.0 if denom == 0.0 else 0.5 * (y0 - y2) / denom
+        shift = float(np.clip(shift, -0.5, 0.5))
+        tp[j] = t[k] + shift * dt
+        ap[j] = y1 - 0.25 * (y0 - y2) * shift
+    f_osc = 1.0 / (2.0 * float(np.mean(np.diff(tp))))
+    slope, intercept = np.polyfit(tp, np.log(ap), 1)
+    if slope >= 0.0:
+        raise AnalysisError("ring-down envelope is not decaying")
+    resid = np.log(ap) - (slope * tp + intercept)
+    return analysis.BreatherFit(
+        f_osc=float(f_osc),
+        decay_time=float(-1.0 / slope),
+        fit_residual=float(np.sqrt(np.mean(resid**2))),
+        n_peaks=int(idx.size),
+    )
+
+
+def _fit_outcome(fit, trajectory, cell):
+    """The fit's fields by repr (which tells every double apart), or the
+    exception it raised."""
+    try:
+        return repr(fit(trajectory, cell))
+    except Exception as exc:  # both forms must fail alike
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _ringdown_of(v):
+    base = _synthetic_ringdown(t_end=v.size / (200 * 18e9))
+    return Trajectory(
+        times=base.times[:v.size], phi=base.phi[:, :v.size], v=np.vstack([v, v]),
+        v_source=base.v_source[:v.size], circuit=base.circuit,
+        derived=base.derived, drive_end=0.0,
+    )
+
+
+# half-cycles of a decaying ring-down, each a run of small integer levels:
+# repeated levels make ties and flat tops, zeros make signed-zero flips
+_half_cycles = st.lists(
+    st.lists(st.integers(0, 4), min_size=1, max_size=6), min_size=8, max_size=40
+)
+
+
+class TestBreatherFitArrays:
+    def test_single_fluxon_sweep_matches_loop(self, monkeypatch):
+        fits = []
+
+        def both(traj, cell=-1):
+            fits.append((_fit_outcome(breather_fit, traj, cell),
+                         _fit_outcome(_breather_fit_loop, traj, cell)))
+            return breather_fit(traj, cell)
+
+        monkeypatch.setattr(experiments, "breather_fit", both)
+        experiments.run_single_fluxon((0.15, 0.2, 0.25, 0.3, 0.35))
+        assert len(fits) == 5
+        for fast, loop in fits:
+            assert fast == loop
+            assert fast.startswith("BreatherFit(")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_half_cycles, st.floats(0.8, 1.0))
+    def test_plateaus_and_ties_match_loop(self, cycles, decay):
+        v = np.concatenate([
+            (-1.0) ** k * decay**k * np.array(levels, dtype=float)
+            for k, levels in enumerate(cycles)
+        ])
+        if v.size < 8 or not np.any(v):
+            return
+        traj = _ringdown_of(v)
+        assert _fit_outcome(breather_fit, traj, 0) == _fit_outcome(
+            _breather_fit_loop, traj, 0
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=8, max_size=300))
+    def test_integer_signals_match_loop(self, levels):
+        traj = _ringdown_of(np.array(levels, dtype=float))
+        assert _fit_outcome(breather_fit, traj, 0) == _fit_outcome(
+            _breather_fit_loop, traj, 0
+        )
+
+
+@pytest.fixture(scope="module")
+def formatter():
+    """The compiled CSV formatter; a test of it fails if it did not load."""
+    loaded = analysis._csv_rows()
+    assert loaded is not analysis._repr_rows, "the compiled CSV formatter did not load"
+    return loaded
+
+
+def _repr_lines(values):
+    return "".join(f"{v!r}\n" for v in values).encode()
+
+
+def _with_neighbours(values):
+    x = np.array(values)
+    with np.errstate(over="ignore"):  # the largest double's neighbour is inf
+        up = np.nextafter(x, np.inf)
+    return np.concatenate([x, np.nextafter(x, -np.inf), up])
+
+
+class TestCsvFormatter:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=60))
+    def test_floats_print_as_repr(self, formatter, values):
+        block = np.array(values).reshape(-1, 1)
+        assert formatter(block) == _repr_lines(block[:, 0].tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=30))
+    def test_rows_print_as_repr_rows(self, formatter, rows):
+        block = np.array(rows).reshape(-1, 2)
+        assert formatter(block) == analysis._repr_rows(block)
+        assert formatter(block) == "".join(
+            f"{a!r},{b!r}\n" for a, b in block.tolist()
+        ).encode()
+
+    @pytest.mark.parametrize("values", [
+        pytest.param([2.0**k for k in range(-1074, 1024)], id="powers_of_2"),
+        pytest.param([10.0**k for k in range(-323, 309)], id="powers_of_10"),
+        pytest.param([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                      9.999999999999999e-05, 0.0001, 9999999999999998.0, 1e16],
+                     id="limits_and_thresholds"),
+    ])
+    def test_exhaustive_lists_print_as_repr(self, formatter, values):
+        x = _with_neighbours(values)
+        x = np.concatenate([x, -x])
+        assert formatter(x.reshape(-1, 1)) == _repr_lines(x.tolist())
+
+    def test_special_values(self, formatter):
+        x = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1.0, 1e22, 1e23]
+        assert formatter(np.array(x).reshape(-1, 1)) == (
+            b"0.0\n-0.0\ninf\n-inf\nnan\nnan\n1.0\n1e+22\n1e+23\n"
+        )
 
 
 class TestEnergyAudit:

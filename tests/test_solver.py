@@ -390,18 +390,20 @@ class TestKernelCache:
         assert solver._load_kernel() is not solver._rk4_numpy
         assert _kernel_notices(caplog) == []
 
-    @pytest.mark.parametrize("edit", ["source", "flags"])
+    @pytest.mark.parametrize("edit", ["source", "repr_source", "flags"])
     def test_library_of_other_source_never_loaded(
         self, warm_cache, monkeypatch, caplog, tmp_path, edit
     ):
         # the warm cache holds a good library, but for another key: the
         # loader has to build, and building is made to fail
-        if edit == "source":
-            edited = tmp_path / "_rk4.c"
-            edited.write_bytes(solver._RK4_SOURCE.read_bytes() + b"/* edited */\n")
-            monkeypatch.setattr(solver, "_RK4_SOURCE", edited)
+        if edit == "flags":
+            monkeypatch.setattr(solver, "_CFLAGS", (*solver._CFLAGS, "-g"))
         else:
-            monkeypatch.setattr(solver, "_RK4_CFLAGS", (*solver._RK4_CFLAGS, "-g"))
+            name = "_RK4_SOURCE" if edit == "source" else "_REPR_SOURCE"
+            source = getattr(solver, name)
+            edited = tmp_path / source.name
+            edited.write_bytes(source.read_bytes() + b"/* edited */\n")
+            monkeypatch.setattr(solver, name, edited)
         monkeypatch.setenv("XDG_CACHE_HOME", str(warm_cache))
         monkeypatch.setattr(
             sysconfig, "get_config_var", lambda name: str(tmp_path / "no-cc")
@@ -443,6 +445,99 @@ class TestKernelCache:
         for traj in (first, second):
             assert np.array_equal(traj.phi, reference.phi)
             assert np.array_equal(traj.v, reference.v)
+
+
+@pytest.fixture
+def uncached_formatter():
+    """No CSV formatter chosen yet, and none left cached afterwards."""
+    analysis._csv_rows.cache_clear()
+    yield
+    analysis._csv_rows.cache_clear()
+
+
+def _jtlpulse_notices(caplog):
+    return [r for r in caplog.records if r.name.startswith("jtlpulse")]
+
+
+def _misprinting_tables(monkeypatch):
+    """Make the compiled formatter print wrong digits: every power of five
+    in its tables is off by one place."""
+    tables = analysis._ryu_tables
+    monkeypatch.setattr(
+        analysis, "_ryu_tables", lambda: tuple(np.roll(t, 2) for t in tables())
+    )
+
+
+def _awkward_spectrum():
+    """A spectrum whose values span every layout repr uses."""
+    psd = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9.999999999999999e-05,
+                    1e-4, 0.1, 1.0 / 3.0, 123.0, 9999999999999998.0, 1e16,
+                    1.7976931348623157e308, math.inf, -math.inf, math.nan,
+                    -2.5e-17, 4.2e21])
+    return analysis.SpectrumResult(freqs=np.arange(psd.size) * 1.25e8 / 3.0,
+                                   psd=psd, f0=None, fwhm=None)
+
+
+class TestCsvFormatterCache:
+    def test_formatter_loads_from_the_kernel_build(
+        self, warm_cache, monkeypatch, caplog
+    ):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a cache hit started a process")
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(warm_cache))
+        monkeypatch.setattr(subprocess, "run", no_process)
+        caplog.set_level(logging.WARNING, logger="jtlpulse")
+        assert analysis._load_formatter() is not analysis._repr_rows
+        assert _jtlpulse_notices(caplog) == []
+
+    def test_probe_mismatch_refuses_only_the_formatter(
+        self, warm_cache, monkeypatch, caplog, tmp_path, uncached_loop,
+        uncached_formatter,
+    ):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(warm_cache))
+        _misprinting_tables(monkeypatch)
+        caplog.set_level(logging.WARNING, logger="jtlpulse")
+        traj = simulate(_circuit(n_jtl=3), None, 1e-10,
+                        initial_phi=np.array([0.1, -0.2, 0.0]))
+        analysis.psd(traj.v[0], traj.dt).to_csv(tmp_path / "spectrum.csv")
+        analysis.psd(traj.v[1], traj.dt).to_csv(tmp_path / "spectrum.csv")
+        assert solver._rk4_loop() is not solver._rk4_numpy
+        assert analysis._csv_rows() is analysis._repr_rows
+        notices = _jtlpulse_notices(caplog)
+        assert len(notices) == 1
+        assert "CSV formatter" in notices[0].getMessage()
+
+    @pytest.mark.parametrize("failure", ["probe mismatch", "no compiler"])
+    def test_fallback_writes_the_same_bytes(
+        self, warm_cache, monkeypatch, caplog, tmp_path, failure,
+        uncached_formatter,
+    ):
+        # blocks shorter than the spectrum exercise the block boundaries
+        monkeypatch.setattr(analysis, "_CSV_BLOCK_ROWS", 7)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(warm_cache))
+        spectrum = _awkward_spectrum()
+        spectrum.to_csv(tmp_path / "compiled.csv")
+        assert analysis._csv_rows() is not analysis._repr_rows
+
+        analysis._csv_rows.cache_clear()
+        if failure == "probe mismatch":
+            _misprinting_tables(monkeypatch)
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+            monkeypatch.setattr(
+                sysconfig, "get_config_var", lambda name: str(tmp_path / "no-cc")
+            )
+        caplog.set_level(logging.WARNING, logger="jtlpulse")
+        spectrum.to_csv(tmp_path / "fallback.csv")
+        assert analysis._csv_rows() is analysis._repr_rows
+        assert len(_jtlpulse_notices(caplog)) == 1
+        compiled = (tmp_path / "compiled.csv").read_bytes()
+        assert compiled == (tmp_path / "fallback.csv").read_bytes()
+        assert compiled.splitlines()[1:] == [
+            f"{f!r},{p!r}".encode() for f, p in zip(spectrum.freqs.tolist(),
+                                                    spectrum.psd.tolist())
+        ]
 
 
 class TestDispersion:
