@@ -70,14 +70,26 @@ class PulseTrain:
     def sample(self, t: np.ndarray) -> np.ndarray:
         """Superposition of all pulses on the sorted grid ``t``, each pulse
         assembled only on the points within 26 widths of its center (sech
-        there is < 1e-11 of peak)."""
+        there is < 1e-11 of peak).
+
+        The pulses are added in train order, so each sample is the same sum
+        in the same order as adding ``Pulse.voltage`` window by window.
+        Inside a window |x| <= 26 (to rounding), so ``Pulse.voltage``'s clip
+        to +-700 never acts there and is left out.
+        """
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
-        for p in self.pulses:
-            lo = np.searchsorted(t, p.t_center - 26.0 * p.width)
-            hi = np.searchsorted(t, p.t_center + 26.0 * p.width)
+        centers = np.array([p.t_center for p in self.pulses])
+        widths = np.array([p.width for p in self.pulses])
+        los = np.searchsorted(t, centers - 26.0 * widths).tolist()
+        his = np.searchsorted(t, centers + 26.0 * widths).tolist()
+        for p, lo, hi in zip(self.pulses, los, his):
             if hi > lo:
-                out[lo:hi] += p.voltage(t[lo:hi])
+                x = t[lo:hi] - p.t_center
+                x /= p.width
+                np.cosh(x, out=x)
+                np.divide(p.peak, x, out=x)
+                out[lo:hi] += x
         return out
 
 

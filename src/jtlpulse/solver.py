@@ -31,11 +31,12 @@ _repr.c (``analysis._csv_rows``).  ``_open_library`` builds both sources
 in one compiler run, with the C compiler Python was built with
 (sysconfig's CC, else ``cc``), into $XDG_CACHE_HOME/jtlpulse (default
 ~/.cache/jtlpulse), under a name keyed by the sources and the flags; later
-calls and processes load that build.  Each of its two users loads it on
-its own first use and falls back on its own, with one logged warning, to
-its Python reference if the library cannot be built or loaded or fails
-that user's check: the numpy loop if the C library's sin differs from
-np.sin, ``repr`` if the formatter misprints a probe value.
+calls and processes load that build, and a new build removes the older
+ones there.  Each of its two users loads it on its own first use and falls
+back on its own, with one logged warning, to its Python reference if the
+library cannot be built or loaded or fails that user's check: the numpy
+loop if the C library's sin differs from np.sin, ``repr`` if the formatter
+misprints a probe value.
 """
 
 from __future__ import annotations
@@ -222,8 +223,9 @@ def simulate(
     v_out[:, 0] = 0.0
 
     _rk4_loop()(phi_out, v_out, v_drive, dt, _lattice(circuit))
-    bad = ~(np.isfinite(phi_out[:, 1:]) & np.isfinite(v_out[:, 1:])).all(axis=0)
-    if bad.any():
+    phi_new, v_new = phi_out[:, 1:], v_out[:, 1:]
+    if not (np.isfinite(phi_new).all() and np.isfinite(v_new).all()):
+        bad = ~(np.isfinite(phi_new) & np.isfinite(v_new)).all(axis=0)
         step = int(bad.argmax()) + 1
         raise SolverError(
             f"non-finite state at step {step} (t = {step * dt:.3e} s), "
@@ -332,11 +334,20 @@ def _open_library() -> ctypes.CDLL:
 
 def _compile_library(path: Path, sources: tuple[Path, ...]) -> None:
     """Build ``sources`` into ``path`` through a temporary file and an
-    atomic rename, so concurrent builds never expose a partial library."""
+    atomic rename, so concurrent builds never expose a partial library.
+
+    Once the build is in place, the builds of other sources or flags in the
+    same directory (``lib-*.so``, and the ``rk4-*.so`` of older releases)
+    are removed: no loader opens them again.  Only files last written before
+    this build started go, so a concurrent build's library and every
+    ``*.tmp`` stay; a file that cannot be removed is left.
+    """
     import sysconfig  # only a cache miss needs it
 
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
+    # the build's start, on the file system's own clock
+    started = os.fstat(fd).st_mtime_ns
     os.close(fd)
     try:
         cc = (sysconfig.get_config_var("CC") or "cc").split()
@@ -351,6 +362,12 @@ def _compile_library(path: Path, sources: tuple[Path, ...]) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in [*path.parent.glob("lib-*.so"), *path.parent.glob("rk4-*.so")]:
+        try:
+            if stale != path and stale.stat().st_mtime_ns < started:
+                stale.unlink()
+        except OSError:
+            pass
 
 
 def dispersion_check(circuit: CircuitParams, k: float) -> float:

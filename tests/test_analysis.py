@@ -88,6 +88,54 @@ class TestPowerWaves:
                 power_waves(np.ones(4), np.ones(4), z0)
 
 
+def _forward_energy_loop(v, i, z0, times):
+    """The reference: integrate the forward wave of ``power_waves``."""
+    return float(np.trapezoid(power_waves(v, i, z0)[0], times))
+
+
+class TestForwardEnergy:
+    def test_table1_ports_match_power_waves(self, monkeypatch):
+        energies = []
+
+        def both(v, i, z0, times):
+            fast = forward_energy(v, i, z0, times)
+            energies.append((fast, _forward_energy_loop(v, i, z0, times)))
+            return fast
+
+        monkeypatch.setattr(experiments, "forward_energy", both)
+        experiments.run_table1(jobs=1)
+        # the input port while settling and the output port, on all 8 rows
+        assert len(energies) >= 16
+        for fast, loop in energies:
+            assert fast.hex() == loop.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.floats(width=64), st.floats(width=64)),
+                       min_size=0, max_size=200),
+        z0=st.floats(1e-3, 1e4),
+        dt=st.floats(1e-15, 1e-9),
+    )
+    def test_arrays_match_power_waves(self, pairs, z0, dt):
+        v = np.array([p[0] for p in pairs], dtype=float)
+        i = np.array([p[1] for p in pairs], dtype=float)
+        times = dt * np.arange(v.size)
+        # overflow to inf and nan is compared too; the backward wave the
+        # reference also builds may overflow where the forward one does not
+        with np.errstate(all="ignore"):
+            fast = forward_energy(v, i, z0, times)
+            loop = _forward_energy_loop(v, i, z0, times)
+        assert fast.hex() == loop.hex()
+
+    @pytest.mark.parametrize("z0", [0.0, -1.0, math.inf, math.nan])
+    def test_z0_domain_as_power_waves(self, z0):
+        with pytest.raises(ValueError) as expected:
+            power_waves(np.ones(4), np.ones(4), z0)
+        with pytest.raises(ValueError) as raised:
+            forward_energy(np.ones(4), np.ones(4), z0, np.arange(4.0))
+        assert str(raised.value) == str(expected.value)
+
+
 class TestBandPower:
     def test_sinusoid_average_power_definition(self):
         # 1 uW forward sine entirely inside the band reads -30 dBm

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jtlpulse.circuit import PHI0, solve_geometry, derive
+from jtlpulse.experiments import R_SFQ
 from jtlpulse.pulses import (
     PhaseEnvelope,
     Pulse,
@@ -151,6 +152,85 @@ class TestCompileEnvelope:
         assert len(train.pulses) == m + 1
         centers = [p.t_center for p in train.pulses]
         assert all(b > a for a, b in zip(centers, centers[1:]))
+
+
+def _sample_loop(train, t):
+    """The reference sampler: each pulse's ``voltage`` added on its window."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    for p in train.pulses:
+        lo = np.searchsorted(t, p.t_center - 26.0 * p.width)
+        hi = np.searchsorted(t, p.t_center + 26.0 * p.width)
+        if hi > lo:
+            out[lo:hi] += p.voltage(t[lo:hi])
+    return out
+
+
+def _assert_sample_matches_loop(train, t):
+    assert train.sample(t).tobytes() == _sample_loop(train, t).tobytes()
+
+
+def _drive_train(envelope):
+    """A train as the protocols compile it at 15 GHz and 3 uA."""
+    d = _derived(f_p=15e9, i_c=3e-6)
+    width = d.l_j / R_SFQ
+    return compile_envelope(envelope, schedule_spacing(d), width, t_start=5 * width)
+
+
+class TestSample:
+    @pytest.mark.parametrize("envelope", [
+        PhaseEnvelope.flat_top(39),
+        PhaseEnvelope.gaussian(39),
+        # a source-model train: the phase, and so every area, halved
+        PhaseEnvelope.flat_top(39, 0.5 * math.pi),
+    ], ids=["flat_top", "gaussian", "source_halved"])
+    def test_matches_loop_on_drive_grids(self, envelope):
+        train = _drive_train(envelope)
+        dt = train.pulses[0].width / 20.0
+        # the solver's half-step grid past the drive
+        full = 0.5 * dt * np.arange(2 * int(1.2 * train.duration / dt) + 1)
+        _assert_sample_matches_loop(train, full)
+        # begins inside the third pulse's window, ends inside the last one's
+        mid = train.pulses[2].t_center
+        end = train.pulses[-1].t_center + 10.0 * train.pulses[-1].width
+        _assert_sample_matches_loop(train, full[(full > mid) & (full < end)])
+
+    def test_windows_between_grid_points_add_nothing(self):
+        # every +-26-width window falls between two grid points (hi == lo)
+        pulses = tuple(sech_pulse((-1.0) ** k * PHI0, 1e-12, (k + 0.5) * 1e-10)
+                       for k in range(6))
+        train = PulseTrain(pulses=pulses, duration=1e-9)
+        t = 1e-10 * np.arange(11)
+        assert np.all(train.sample(t) == 0.0)
+        _assert_sample_matches_loop(train, t)
+        # a finer grid reaches some windows and misses others
+        _assert_sample_matches_loop(train, 0.3e-10 * np.arange(34))
+
+    def test_empty_train_is_zero(self):
+        train = PulseTrain(pulses=(), duration=1e-9)
+        t = np.linspace(0.0, 1e-9, 101)
+        assert train.sample(t).tobytes() == np.zeros(101).tobytes()
+        _assert_sample_matches_loop(train, t)
+
+    @given(
+        centers=st.lists(st.floats(0.0, 1e-9), min_size=1, max_size=12).map(sorted),
+        shapes=st.lists(
+            st.tuples(st.floats(1e-13, 5e-11), st.floats(-3.0, 3.0)),
+            min_size=12, max_size=12,
+        ),
+        start=st.floats(-2e-10, 1e-9),
+        step=st.floats(1e-14, 5e-12),
+        count=st.integers(0, 2000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_property(self, centers, shapes, start, step, count):
+        pulses = tuple(
+            sech_pulse(area * PHI0, width, c)
+            for c, (width, area) in zip(centers, shapes)
+        )
+        tail = pulses[-1].t_center + 5.0 * pulses[-1].width
+        train = PulseTrain(pulses=pulses, duration=tail)
+        _assert_sample_matches_loop(train, start + step * np.arange(count))
 
 
 class TestSerialization:
