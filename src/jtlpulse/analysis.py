@@ -12,7 +12,6 @@ import ctypes
 import functools
 import logging
 import math
-import subprocess
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +96,7 @@ def _load_formatter():
     """
     try:
         format_rows = solver._open_library().jtl_csv_rows
-    except (OSError, AttributeError, RuntimeError, subprocess.SubprocessError) as exc:
+    except (OSError, AttributeError, RuntimeError) as exc:
         _log.warning("compiled CSV formatter unavailable (%s); using repr", exc)
         return _repr_rows
     format_rows.restype = ctypes.c_long

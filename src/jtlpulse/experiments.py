@@ -25,9 +25,10 @@ import inspect
 import json
 import math
 import os
+import pickle
+import sys
 import warnings
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -479,15 +480,108 @@ MAP_DAMPING_QUALITY = 400.0
 
 
 def _pool_map(fn, tasks: list[tuple], jobs: int | None) -> list:
-    """``[fn(*task) for task in tasks]`` on up to ``jobs`` processes (default:
-    one per usable core); serial when jobs <= 1 or there is a single task."""
+    """``[fn(*task) for task in tasks]`` computed by up to ``jobs`` processes,
+    this one included (default: one per usable core).
+
+    With j = min(jobs, len(tasks)), this process forks j - 1 children.  Child
+    k computes ``tasks[k::j]`` and sends its results back pickled through a
+    pipe while this process computes ``tasks[0::j]``, so the results are the
+    serial loop's, bit for bit.  An exception raised in a child re-raises
+    here with its type and message, or as a RuntimeError naming both if it
+    cannot be pickled; a child that ends without a result (killed by a
+    signal, say) raises ChildProcessError.  On any error the children still
+    running are killed; every child is reaped before this returns.  Serial
+    when j <= 1 or where ``os.fork`` is missing.
+    """
     if jobs is None:
         jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-    if jobs <= 1 or len(tasks) <= 1:
+    jobs = min(jobs, len(tasks))
+    if jobs <= 1 or not hasattr(os, "fork"):
         return [fn(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
+    results = [None] * len(tasks)
+    children = []  # (pid, read end of its pipe), in share order
+    reaped = 0
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for k in range(1, jobs):
+            children.append(_fork_share(fn, tasks[k::jobs], children))
+        results[0::jobs] = [fn(*task) for task in tasks[0::jobs]]
+        for k, (pid, fd) in enumerate(children, 1):
+            with open(fd, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            if code < 0:
+                import signal  # only a killed child needs it
+
+                raise ChildProcessError(f"worker process {pid} was killed by "
+                                        f"{signal.Signals(-code).name}")
+            if code or not payload:
+                raise ChildProcessError(f"worker process {pid} exited with "
+                                        f"status {code} without a result")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results[k::jobs] = value
+    finally:
+        if reaped < len(children):
+            import signal  # only an error gets here
+
+            for pid, _ in children[reaped:]:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for _, fd in children:
+            os.close(fd)
+    return results
+
+
+def _fork_share(
+    fn, share: list[tuple], siblings: list[tuple[int, int]]
+) -> tuple[int, int]:
+    """Fork a child computing ``[fn(*task) for task in share]``; returns
+    (pid, read end of the pipe carrying its pickled ``(ok, value)``).
+
+    The child closes the read ends it inherits, its own and those of
+    ``siblings`` (the (pid, fd) of earlier children).  It leaves by
+    ``os._exit`` whatever happens, so it never returns into the caller's
+    stack, and exits 0 only once its payload is written.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:
+        os.close(read_fd)
+        for _, fd in siblings:
+            os.close(fd)
+        try:
+            payload = pickle.dumps((True, [fn(*task) for task in share]))
+        except Exception as exc:
+            # the caller must be able to load whatever is sent
+            try:
+                payload = pickle.dumps((False, exc))
+                pickle.loads(payload)
+            except Exception:
+                error = RuntimeError(f"{type(exc).__name__}: {exc}")
+                payload = pickle.dumps((False, error))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
 
 
 def _map_point(

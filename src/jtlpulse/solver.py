@@ -46,7 +46,6 @@ import functools
 import logging
 import math
 import os
-import subprocess
 import tempfile
 import zlib
 from dataclasses import dataclass, replace
@@ -291,7 +290,7 @@ def _load_kernel():
         if not np.array_equal(libm_sin, np.sin(x)):
             raise OSError("the C library's sin differs from np.sin")
         kernel = lib.jtl_rk4
-    except (OSError, AttributeError, RuntimeError, subprocess.SubprocessError) as exc:
+    except (OSError, AttributeError, RuntimeError) as exc:
         _log.warning("compiled RK4 kernel unavailable (%s); using the numpy loop", exc)
         return _rk4_numpy
     kernel.restype = None
@@ -342,7 +341,8 @@ def _compile_library(path: Path, sources: tuple[Path, ...]) -> None:
     this build started go, so a concurrent build's library and every
     ``*.tmp`` stay; a file that cannot be removed is left.
     """
-    import sysconfig  # only a cache miss needs it
+    import subprocess  # only a cache miss needs them
+    import sysconfig
 
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)

@@ -1,6 +1,11 @@
 """Command line interface: derive output, exit codes, scenario runs."""
 
 import functools
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +29,21 @@ def row2_config(tmp_path):
     path = tmp_path / "row2.ini"
     path.write_text(ROW2_CONFIG)
     return str(path)
+
+
+def test_import_loads_no_process_machinery():
+    # the scenario pool forks on demand and the compiler runs only on a
+    # cache miss, so a cold start imports neither the executor nor the
+    # process modules
+    src = str(Path(experiments.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    modules = ("concurrent.futures", "multiprocessing", "subprocess")
+    code = f"import sys, jtlpulse.cli; print([m for m in {modules!r} if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestEng:
@@ -119,6 +139,27 @@ class TestRun:
         ])
         assert code == 2
         assert "alpha_out_grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("killed", [False, True])
+    def test_pooled_run_leaves_no_process(self, tmp_path, capsys, monkeypatch, killed):
+        # a worker killed by a signal is a runtime error, exit code 3
+        def point(i_c, *args):
+            if i_c == 3e-6:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return 0.5
+
+        if killed:
+            monkeypatch.setattr(experiments, "_map_point", point)
+        config = tmp_path / "map.ini"
+        config.write_text("[scenario]\nid = efficiency_map\ni_c_grid = 2e-6, 3e-6\n"
+                          "omega_p_grid = 1.1e11\nprotocol = gaussian\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--jobs", "2"])
+        assert code == (3 if killed else 0)
+        if killed:
+            assert "was killed by SIGKILL" in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_table1_emits_eight_rows(self, tmp_path, capsys):
         config = tmp_path / "t.ini"
