@@ -3,7 +3,8 @@
 Spectral quantities are built from the energy spectral density
 ESD(f) = |X(f)|^2 dt^2 of a uniformly sampled record (one-sided), which
 integrates to the time-domain energy exactly (discrete Parseval).  Dividing
-by the record or sequence duration turns energies into powers.
+by the record or sequence duration turns energies into powers.  A train
+run takes one transform: ``psd`` also integrates its ESD over f0 +- fwhm/2.
 """
 
 from __future__ import annotations
@@ -48,13 +49,16 @@ class SpectrumResult:
     """One-sided power spectral density with extracted peak metrics.
 
     psd has units V^2/Hz (or W/Hz for wave-amplitude inputs); f0 and fwhm
-    are None when the record has no peak above DC.
+    are None when the record has no peak above DC.  band_energy, V^2 s (or
+    J), is the ESD integral over [f0 - fwhm/2, f0 + fwhm/2]; None without a
+    fwhm or with fewer than two bins in the band.
     """
 
     freqs: np.ndarray
     psd: np.ndarray
     f0: float | None
     fwhm: float | None
+    band_energy: float | None = None
 
     def to_csv(self, path) -> None:
         _write_csv(path, ["freq", "psd"], [self.freqs, self.psd])
@@ -172,7 +176,9 @@ def esd(
     n_fft = int(pad_factor) * x.size
     spec = np.fft.rfft(x, n=n_fft)
     freqs = np.fft.rfftfreq(n_fft, d=dt)
-    density = np.abs(spec) ** 2 * dt**2
+    density = np.abs(spec)
+    np.square(density, out=density)
+    density *= dt**2
     density[1:] *= 2.0
     if n_fft % 2 == 0:
         density[-1] /= 2.0  # Nyquist bin is not duplicated
@@ -182,7 +188,7 @@ def esd(
 def psd(
     signal: np.ndarray, dt: float, *, pad_factor: int = 8
 ) -> SpectrumResult:
-    """PSD with peak frequency and interpolated full width at half maximum.
+    """PSD, peak frequency, interpolated FWHM and band energy from one FFT.
 
     The record is sampled every ``dt`` seconds and must be at least 256
     samples long.  The scenarios pass band-limited records: the integrator's
@@ -196,9 +202,8 @@ def psd(
     x = np.asarray(signal, dtype=float)
     if x.size < 256:
         raise AnalysisError(f"record too short for a spectrum: {x.size} < 256 samples")
-    freqs, density = esd(x, dt, pad_factor=pad_factor)
-    duration = x.size * dt
-    density = density / duration
+    freqs, energy = esd(x, dt, pad_factor=pad_factor)
+    density = energy / (x.size * dt)
     k0 = int(np.argmax(density[1:])) + 1
     peak = density[k0]
     if peak <= 0.0 or peak <= density[0] * 1e-9:
@@ -208,9 +213,8 @@ def psd(
     right = _half_crossing(freqs, density, k0, half, +1)
     if left is None or right is None:
         return SpectrumResult(freqs=freqs, psd=density, f0=float(freqs[k0]), fwhm=None)
-    return SpectrumResult(
-        freqs=freqs, psd=density, f0=float(freqs[k0]), fwhm=float(right - left)
-    )
+    f0, fwhm = float(freqs[k0]), float(right - left)
+    return SpectrumResult(freqs, density, f0, fwhm, _band_energy(freqs, energy, f0, fwhm))
 
 
 def _half_crossing(freqs, density, k0, half, direction):
@@ -273,16 +277,26 @@ def band_power_dbm(
 
     ``a_out`` is the forward wave amplitude sqrt(W) at the load; the band
     energy is the ESD integral over the band, and dividing by the sequence
-    duration gives the average band power.
+    duration gives the average band power.  The record-level form of what a
+    train run reads off ``psd(a_out, dt).band_energy``, bit for bit.
     """
     if f0 is None or fwhm is None or fwhm <= 0.0:
         raise AnalysisError("band power requires a spectrum with a resolved peak")
-    freqs, density = esd(np.asarray(a_out, dtype=float), dt, pad_factor=pad_factor)
-    lo, hi = f0 - fwhm / 2.0, f0 + fwhm / 2.0
-    mask = (freqs >= lo) & (freqs <= hi)
-    if mask.sum() < 2:
+    freqs, energy = esd(a_out, dt, pad_factor=pad_factor)
+    return _band_dbm(_band_energy(freqs, energy, f0, fwhm), duration)
+
+
+def _band_energy(freqs, energy, f0, fwhm) -> float | None:
+    """ESD integral over f0 +- fwhm/2 of the ascending ``freqs``; None below 2 bins."""
+    lo = np.searchsorted(freqs, f0 - fwhm / 2.0, side="left")
+    hi = np.searchsorted(freqs, f0 + fwhm / 2.0, side="right")
+    return None if hi - lo < 2 else float(np.trapezoid(energy[lo:hi], freqs[lo:hi]))
+
+
+def _band_dbm(e_band: float | None, duration: float) -> float:
+    """Band energy ``e_band`` (J, None below two bins) per ``duration``, dBm."""
+    if e_band is None:
         raise AnalysisError("band narrower than the frequency resolution")
-    e_band = float(np.trapezoid(density[mask], freqs[mask]))
     power = e_band / duration
     if power <= 0.0:
         raise AnalysisError("non-positive band power")
@@ -363,8 +377,7 @@ def energy_audit(trajectory: Trajectory) -> dict[str, float]:
     p_in_fwd, p_in_bwd = power_waves(trajectory.v_node1, trajectory.i_in, c.z_in)
     e_in = float(np.trapezoid(p_in_fwd, times))
     e_refl = float(np.trapezoid(p_in_bwd, times))
-    p_out_fwd, _ = power_waves(trajectory.v_nodeN, trajectory.i_out, c.z_out)
-    e_out = float(np.trapezoid(p_out_fwd, times))
+    e_out = forward_energy(trajectory.v_nodeN, trajectory.i_out, c.z_out, times)
     e_diss = trajectory.dissipated_energy()
     e_stored = trajectory.final_stored_energy()
     closure = abs(e_in - (e_refl + e_out + e_diss + e_stored)) / e_in if e_in else 0.0

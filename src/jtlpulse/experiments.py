@@ -57,7 +57,8 @@ from .analysis import (
     InsufficientDataError,
     PowerReport,
     SpectrumResult,
-    band_power_dbm,
+    _band_dbm,
+    band_power_dbm,  # unused: bench/spans.py patches this name to trace it
     breather_fit,
     forward_energy,
     psd,
@@ -218,26 +219,20 @@ def _measure_train_run(
     traj: Trajectory, e_in: float, seq_duration: float
 ) -> tuple[SpectrumResult, PowerReport]:
     """Spectrum and power bookkeeping for a pulse-train run injecting e_in;
-    the spectra are taken at the signal band (``_band_stride``)."""
+    the one spectrum is taken at the signal band (``_band_stride``)."""
     if e_in <= 0.0:
         raise AnalysisError("zero input energy; efficiency undefined")
     c = traj.circuit
     q = _band_stride(traj.derived, traj.dt, traj.times.size)
-    a_band = traj.v_nodeN[::q] / math.sqrt(c.z_out)
-    dt_band = traj.dt * q
-    spectrum = psd(a_band, dt_band)
+    spectrum = psd(traj.v_nodeN[::q] / math.sqrt(c.z_out), traj.dt * q)
     e_out = forward_energy(traj.v_nodeN, traj.i_out, c.z_out, traj.times)
-    band = None
-    if spectrum.f0 is not None and spectrum.fwhm is not None:
-        band = band_power_dbm(
-            a_band, dt_band, spectrum.f0, spectrum.fwhm, seq_duration
-        )
     report = PowerReport(
         e_in_fwd=e_in,
         e_out_fwd=e_out,
         eta=e_out / e_in,
         avg_input_power=e_in / seq_duration,
-        band_power_dbm=band,
+        band_power_dbm=None if spectrum.fwhm is None
+        else _band_dbm(spectrum.band_energy, seq_duration),
     )
     return spectrum, report
 
@@ -659,10 +654,7 @@ def _table1_row(row, protocol: str, dt_divisor: int) -> RunResult:
     }
     targets = {"f0_ghz": f0_ghz, "fwhm_mhz": fwhm_mhz, "p_in_nw": p_in_nw,
                "p_band_dbm": p_band_dbm}
-    config = dict(run.config)
-    config["protocol"] = protocol
-    config["targets"] = targets
-    config["checks"] = checks
+    config = {**run.config, "protocol": protocol, "targets": targets, "checks": checks}
     return replace(
         run, config=config, spectrum=None, passed=all(checks.values()),
         notes=", ".join(k for k, ok in checks.items() if not ok),

@@ -313,8 +313,7 @@ def _load_kernel():
 
 def _open_library() -> ctypes.CDLL:
     """The library built from _rk4.c and _repr.c, from the user cache,
-    compiled there on a miss; raises OSError (or SubprocessError) if it
-    cannot be built or loaded.
+    compiled there on a miss; raises OSError if it cannot be built or loaded.
 
     The library's name carries a CRC-32 of both sources and the compiler
     flags, so an edited source never loads a stale build; a cache hit reads

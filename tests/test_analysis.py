@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from jtlpulse import analysis, experiments
 from jtlpulse.analysis import (
@@ -63,6 +63,24 @@ class TestPsd:
     def test_dc_record_has_no_peak(self):
         sp = psd(np.ones(512), 1e-12, pad_factor=1)
         assert sp.f0 is None
+        assert sp.band_energy is None
+
+    def test_band_energy_is_the_band_integral_of_the_esd(self):
+        t, x = _tone(f0=20e9, fs=400e9, n=4000)
+        sp = psd(x, 1.0 / 400e9)
+        freqs, density = esd(x, 1.0 / 400e9, pad_factor=8)
+        band = (freqs >= sp.f0 - sp.fwhm / 2.0) & (freqs <= sp.f0 + sp.fwhm / 2.0)
+        assert sp.band_energy == np.trapezoid(density[band], freqs[band])
+        # most of the tone's energy sum(x^2) dt lies within its half-power band
+        assert 0.5 < sp.band_energy / (np.sum(x**2) / 400e9) < 1.0
+
+    def test_band_energy_none_below_two_bins(self):
+        # a whole number of periods, unpadded: one bin above half maximum,
+        # crossings half a bin either side, so the band holds that bin alone
+        t, x = _tone(f0=20e9, fs=400e9, n=4000)
+        sp = psd(x, 1.0 / 400e9, pad_factor=1)
+        assert sp.fwhm == pytest.approx(400e9 / 4000)
+        assert sp.band_energy is None
 
 
 class TestPowerWaves:
@@ -136,6 +154,59 @@ class TestForwardEnergy:
         assert str(raised.value) == str(expected.value)
 
 
+def _esd_out_of_place(x, dt, pad_factor):
+    """The reference ``esd``: the density built out of place."""
+    n_fft = pad_factor * x.size
+    density = np.abs(np.fft.rfft(x, n=n_fft)) ** 2 * dt**2
+    density[1:] *= 2.0
+    if n_fft % 2 == 0:
+        density[-1] /= 2.0
+    return np.fft.rfftfreq(n_fft, d=dt), density
+
+
+def _band_power_two_fft(a_out, dt, f0, fwhm, duration, pad_factor=8):
+    """The reference band power: a transform of its own, the band picked
+    by a boolean mask."""
+    freqs, density = _esd_out_of_place(np.asarray(a_out, dtype=float), dt, pad_factor)
+    mask = (freqs >= f0 - fwhm / 2.0) & (freqs <= f0 + fwhm / 2.0)
+    if mask.sum() < 2:
+        raise AnalysisError("band narrower than the frequency resolution")
+    power = float(np.trapezoid(density[mask], freqs[mask])) / duration
+    if power <= 0.0:
+        raise AnalysisError("non-positive band power")
+    return 10.0 * math.log10(power / 1e-3)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` as float.hex, or the message of its AnalysisError."""
+    try:
+        return fn(*args).hex()
+    except AnalysisError as exc:
+        return f"AnalysisError: {exc}"
+
+
+def _damped_tone(n, cycles, decay, phase, amp, noise, seed):
+    t = np.arange(n) / n
+    rng = np.random.default_rng(seed)
+    wave = np.exp(-decay * t) * np.sin(2 * math.pi * cycles * t + phase)
+    return amp * (wave + noise * rng.normal(size=n))
+
+
+def _records(amp):
+    """Records of 256-2048 samples: a decaying tone of 2-100 periods in
+    noise, scaled by ``amp`` (0 gives the all-zero record)."""
+    return st.builds(
+        _damped_tone,
+        n=st.integers(256, 2048),
+        cycles=st.floats(2.0, 100.0),
+        decay=st.floats(0.0, 5.0),
+        phase=st.floats(0.0, 2 * math.pi),
+        amp=amp,
+        noise=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+
 class TestBandPower:
     def test_sinusoid_average_power_definition(self):
         # 1 uW forward sine entirely inside the band reads -30 dBm
@@ -150,6 +221,49 @@ class TestBandPower:
     def test_requires_peak(self):
         with pytest.raises(AnalysisError):
             band_power_dbm(np.zeros(512), 1e-12, None, None, 1e-9)
+
+    def test_band_narrower_than_resolution(self):
+        t, x = _tone(f0=20e9, fs=400e9, n=4000)
+        bin_width = 400e9 / (8 * 4000)
+        with pytest.raises(AnalysisError,
+                           match="^band narrower than the frequency resolution$"):
+            band_power_dbm(x, 1 / 400e9, 20e9 + 0.3 * bin_width, 0.5 * bin_width, 1e-8)
+        with pytest.raises(AnalysisError,
+                           match="^band narrower than the frequency resolution$"):
+            analysis._band_dbm(None, 1e-8)
+
+    def test_non_positive_band_power(self):
+        with pytest.raises(AnalysisError, match="^non-positive band power$"):
+            band_power_dbm(np.zeros(512), 1e-12, 100e9, 20e9, 1e-9)
+        with pytest.raises(AnalysisError, match="^non-positive band power$"):
+            analysis._band_dbm(0.0, 1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(record=_records(st.floats(1e-6, 1e3)), dt=st.floats(1e-13, 1e-10),
+           scale=st.floats(0.5, 4.0))
+    def test_psd_band_energy_matches_two_fft(self, record, dt, scale):
+        # a train run: f0, fwhm and band energy from psd's one transform
+        sp = psd(record, dt)
+        assume(sp.fwhm is not None)
+        freqs, density = _esd_out_of_place(record, dt, 8)
+        assert np.array_equal(sp.freqs, freqs)
+        assert np.array_equal(sp.psd, density / (record.size * dt))
+        duration = scale * record.size * dt
+        assert _outcome(analysis._band_dbm, sp.band_energy, duration) == _outcome(
+            _band_power_two_fft, record, dt, sp.f0, sp.fwhm, duration
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(record=_records(st.floats(0.0, 1e3)), dt=st.floats(1e-13, 1e-10),
+           f0_bins=st.floats(1.0, 500.0), fwhm_bins=st.floats(0.05, 40.0))
+    def test_record_level_matches_two_fft(self, record, dt, f0_bins, fwhm_bins):
+        # bands below two bins and all-zero records raise, with the same message
+        bin_width = 1.0 / (8 * record.size * dt)
+        f0, fwhm = f0_bins * bin_width, fwhm_bins * bin_width
+        duration = record.size * dt
+        assert _outcome(band_power_dbm, record, dt, f0, fwhm, duration) == _outcome(
+            _band_power_two_fft, record, dt, f0, fwhm, duration
+        )
 
 
 def _synthetic_ringdown(f=18e9, tau=0.5e-9, fs=None, t_end=3e-9):

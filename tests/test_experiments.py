@@ -1,5 +1,6 @@
 """Scenario harness: regimes, determinism, provenance, table structure."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -10,8 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from jtlpulse import experiments
-from jtlpulse.analysis import band_power_dbm, esd, forward_energy, psd
+from jtlpulse import analysis, experiments
+from jtlpulse.analysis import (
+    AnalysisError,
+    band_power_dbm,
+    esd,
+    forward_energy,
+    psd,
+)
 from jtlpulse.circuit import derive, solve_geometry
 from jtlpulse.pulses import PhaseEnvelope, compile_envelope, schedule_spacing
 from jtlpulse.experiments import (
@@ -219,6 +226,81 @@ class TestSignalBand:
             self._assert_peak_matches(run, psd(ring_down, traj.dt))
 
 
+class TestOneTransform:
+    """A train point builds one ESD; its band power is the record-level
+    ``band_power_dbm`` of the band-strided record, bit for bit."""
+
+    @pytest.fixture
+    def esd_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return esd(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "esd", counting)
+        return calls
+
+    @pytest.fixture
+    def band_records(self, monkeypatch):
+        records = []
+
+        def recording(signal, dt, **kwargs):
+            records.append((signal, dt))
+            return psd(signal, dt, **kwargs)
+
+        monkeypatch.setattr(experiments, "psd", recording)
+        return records
+
+    @pytest.mark.parametrize("point", [
+        pytest.param(lambda: run_flat_top(), id="run_flat_top"),
+        pytest.param(lambda: experiments._table1_row(
+            TABLE1_FLAT_TOP[0], "flat_top", DEFAULT_DT_DIVISOR), id="table1_flat_top"),
+        pytest.param(lambda: experiments._table1_row(
+            TABLE1_GAUSSIAN[0], "gaussian", DEFAULT_DT_DIVISOR), id="table1_gaussian"),
+        pytest.param(lambda: run_efficiency_map(
+            [3e-6], [2 * math.pi * 26e9], "gaussian", jobs=1), id="efficiency_map"),
+        pytest.param(lambda: run_single_fluxon(0.25), id="single_fluxon"),
+    ])
+    def test_one_esd_per_point(self, esd_calls, point):
+        point()
+        assert len(esd_calls) == 1
+
+    @staticmethod
+    def _assert_record_level(run, a_band, dt_band):
+        expected = band_power_dbm(a_band, dt_band, run.f0, run.fwhm,
+                                  run.config["seq_duration"])
+        assert run.power.band_power_dbm.hex() == expected.hex()
+
+    @pytest.mark.parametrize(
+        "protocol, row",
+        [("flat_top", TABLE1_FLAT_TOP[0]), ("gaussian", TABLE1_GAUSSIAN[3])],
+        ids=["flat_top_3uA", "gaussian_6uA"],
+    )
+    def test_table1_row_band_power(self, band_records, protocol, row):
+        run = experiments._table1_row(row, protocol, DEFAULT_DT_DIVISOR)
+        ((a_band, dt_band),) = band_records
+        self._assert_record_level(run, a_band, dt_band)
+
+    def test_bandwidth_sweep_band_power(self, band_records):
+        report = run_bandwidth_sweep()
+        assert len(report.runs) == 4
+        for run, (a_band, dt_band) in zip(report.runs, band_records, strict=True):
+            self._assert_record_level(run, a_band, dt_band)
+
+    @pytest.mark.parametrize("band_energy, message", [
+        (None, "band narrower than the frequency resolution"),
+        (0.0, "non-positive band power"),
+    ])
+    def test_band_errors_raise_from_the_run(self, monkeypatch, band_energy, message):
+        def spectrum(signal, dt):
+            return dataclasses.replace(psd(signal, dt), band_energy=band_energy)
+
+        monkeypatch.setattr(experiments, "psd", spectrum)
+        with pytest.raises(AnalysisError, match=f"^{message}$"):
+            run_flat_top(n_pairs=5)
+
+
 class TestBandwidthSweep:
     def test_list_validation(self):
         with pytest.raises(ScenarioError):
@@ -375,8 +457,8 @@ class TestOutputs:
         assert payload["scenario"] == "single_fluxon"
         spectrum_files = [p for p in paths if p.endswith("spectrum.csv")]
         assert spectrum_files
-        first = open(spectrum_files[0]).readline().strip()
-        assert first == "freq,psd"
+        with open(spectrum_files[0]) as fh:
+            assert fh.readline().strip() == "freq,psd"
 
 
 class TestDriveModels:
