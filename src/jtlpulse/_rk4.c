@@ -35,10 +35,13 @@ static void deriv(long n, const double *lat, const double *p, const double *u,
     }
 }
 
-/* Advance n_steps from column 0 of the (n, n_steps + 1) row-major records
- * phi_out and v_out, filling the other columns.  v_drive holds the port EMF
- * on the 2 n_steps + 1 point half-step grid; work holds 12 n doubles. */
-void jtl_rk4(long n, long n_steps, double dt, const double *lat,
+/* Advance n_steps from column 0 of the n-row windows phi_out and v_out,
+ * filling their columns 1..n_steps.  Row i of a window starts stride
+ * doubles after row i - 1 and holds n_steps + 1 contiguous columns, so a
+ * window may be the trailing columns of a longer record.  v_drive holds the
+ * port EMF on the 2 n_steps + 1 point half-step grid of the window; work
+ * holds 12 n doubles. */
+void jtl_rk4(long n, long n_steps, long stride, double dt, const double *lat,
              const double *v_drive, double *phi_out, double *v_out,
              double *work)
 {
@@ -46,7 +49,6 @@ void jtl_rk4(long n, long n_steps, double dt, const double *lat,
     double *k1p = work + 4 * n, *k1v = work + 5 * n, *k2p = work + 6 * n,
            *k2v = work + 7 * n, *k3p = work + 8 * n, *k3v = work + 9 * n,
            *k4p = work + 10 * n, *k4v = work + 11 * n;
-    const long stride = n_steps + 1;
     const double sixth = dt / 6.0, half = dt / 2.0;
 
     for (long i = 0; i < n; i++) {

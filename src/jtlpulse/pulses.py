@@ -18,6 +18,9 @@ from .circuit import PHI0, DerivedParams
 
 # arcsech(1/2) = ln(2 + sqrt(3)); half-maximum point of sech.
 _ARCSECH_HALF = math.log(2.0 + math.sqrt(3.0))
+# PulseTrain.sample assembles each pulse within this many widths of its
+# center (sech there is < 1e-11 of peak) and leaves it out elsewhere.
+_WINDOW_WIDTHS = 26.0
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,8 @@ class PulseTrain:
 
     def sample(self, t: np.ndarray) -> np.ndarray:
         """Superposition of all pulses on the sorted grid ``t``, each pulse
-        assembled only on the points within 26 widths of its center (sech
-        there is < 1e-11 of peak).
+        assembled only on the points within ``_WINDOW_WIDTHS`` (26) widths
+        of its center (sech there is < 1e-11 of peak).
 
         The pulses are added in train order, so each sample is the same sum
         in the same order as adding ``Pulse.voltage`` window by window.
@@ -80,9 +83,9 @@ class PulseTrain:
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         centers = np.array([p.t_center for p in self.pulses])
-        widths = np.array([p.width for p in self.pulses])
-        los = np.searchsorted(t, centers - 26.0 * widths).tolist()
-        his = np.searchsorted(t, centers + 26.0 * widths).tolist()
+        reach = _WINDOW_WIDTHS * np.array([p.width for p in self.pulses])
+        los = np.searchsorted(t, centers - reach).tolist()
+        his = np.searchsorted(t, centers + reach).tolist()
         for p, lo, hi in zip(self.pulses, los, his):
             if hi > lo:
                 x = t[lo:hi] - p.t_center
@@ -91,6 +94,25 @@ class PulseTrain:
                 np.divide(p.peak, x, out=x)
                 out[lo:hi] += x
         return out
+
+    def shared_samples(self, other: "PulseTrain", t: np.ndarray) -> int:
+        """How many leading points of the sorted grid ``t`` ``sample`` gives
+        bit-equal values on for this train and ``other``.
+
+        Each sample is the sum, in train order, of the pulses whose window
+        holds its point.  Up to the first position where the pulse tuples
+        differ, the trains add equal pulses (equal fields give equal
+        values); a later pulse of either train first acts at the start of
+        its window.  So the samples agree before the earliest such start,
+        found by ``sample``'s own rule, and may differ from there on.
+        """
+        k = next((i for i, (a, b) in enumerate(zip(self.pulses, other.pulses))
+                  if a != b), min(len(self.pulses), len(other.pulses)))
+        rest = self.pulses[k:] + other.pulses[k:]
+        if not rest:
+            return len(t)
+        start = min(p.t_center - _WINDOW_WIDTHS * p.width for p in rest)
+        return int(np.searchsorted(np.asarray(t, dtype=float), start))
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,18 @@ is then exactly the incident wave amplitude.
 The stepping loop runs in C: _rk4.c transcribes ``_deriv`` and the numpy
 loop ``_rk4_numpy`` operation for operation, and is built without FMA
 contraction, so both loops give bit-identical trajectories.  Both loops
-only step; ``simulate`` checks the finished record once and reports the
-first non-finite step.
+only step, from the first column of a window of the record;
+``simulate`` checks the columns they filled once and reports the first
+non-finite step.
+
+``simulate`` remembers its last unseeded run.  A run on the same circuit,
+dt and loop whose drive samples agree bit for bit up to some half-step 2 s
+(``PulseTrain.shared_samples``) has the same states up to column s, so it
+copies columns 0..s of that record and integrates only the rest.  So the
+next, longer train of a sweep resumes where the shorter one's closing
+pulse starts to act, and a settle extension integrates only its added
+tail.  Returned records are read-only, so the remembered one cannot be
+edited; it stays alive until the next call (or ``forget_last_run``).
 
 The compiled library holds that loop and the spectrum CSV formatter of
 _repr.c (``analysis._csv_rows``).  ``_open_library`` builds both sources
@@ -76,7 +86,8 @@ class Trajectory:
 
     phi and v are (n_jtl, T) matrices on the uniform grid ``times``.  The
     port records carry the Thevenin source voltage and the port currents
-    alongside the boundary node voltages.
+    alongside the boundary node voltages.  ``simulate`` returns its arrays
+    read-only.
     """
 
     times: np.ndarray
@@ -102,7 +113,9 @@ class Trajectory:
     @property
     def i_in(self) -> np.ndarray:
         """Current delivered into node 1 through the input termination."""
-        return (self.v_source - self.v[0]) / self.circuit.z_in
+        i = self.v_source - self.v[0]
+        i /= self.circuit.z_in
+        return i
 
     @property
     def i_out(self) -> np.ndarray:
@@ -160,6 +173,43 @@ def _deriv(
     return inv_kflux * u, i_cell * inv_c
 
 
+# simulate's last unseeded run: (circuit, dt, loop, drive, trajectory).
+# Threads may race on it: every entry is a whole read-only run stored with
+# all of its inputs, so a race can cost reuse, never a wrong column.
+_last: tuple | None = None
+
+
+def forget_last_run() -> None:
+    """Drop the record of its last run that ``simulate`` keeps for reuse."""
+    global _last
+    _last = None
+
+
+def _shared_columns(
+    last: tuple | None, circuit: CircuitParams, dt: float, loop,
+    drive: PulseTrain | None, n_steps: int,
+) -> int:
+    """The last column s of the remembered run ``last`` that a run of
+    ``n_steps`` on these inputs reproduces bit for bit; 0 when none past the
+    start.
+
+    The runs must share circuit, dt and loop, and both be undriven or both
+    driven.  Column s depends on the drive samples 0..2 s alone, so s is the
+    largest column whose samples the two drives give equal values on.
+    """
+    if last is None:
+        return 0
+    l_circuit, l_dt, l_loop, l_drive, traj = last
+    if (l_loop is not loop or l_dt != dt or l_circuit != circuit
+            or (l_drive is None) != (drive is None)):
+        return 0
+    common = min(traj.times.size - 1, n_steps)
+    equal = 2 * common + 1
+    if drive is not None:
+        equal = l_drive.shared_samples(drive, 0.5 * dt * np.arange(equal))
+    return max(0, (equal - 1) // 2)
+
+
 def simulate(
     circuit: CircuitParams,
     drive: PulseTrain | None,
@@ -183,10 +233,19 @@ def simulate(
     a non-finite phase or voltage raises SolverError naming the first step
     that produced one.
 
+    An unseeded run reuses what its predecessor computed.  If the last
+    unseeded run had the same circuit, dt and loop and a drive whose
+    samples agree with this one's on half-steps 0..2 s, its columns 0..s
+    are copied, the drive is sampled on half-steps 2 s onward only, and the
+    loop steps from column s: the result is the full run's, bit for bit.
+    The remembered record is dropped before anything is allocated on a
+    miss, and once copied on a hit.  The returned arrays are read-only.
+
     The checks and the drive sampling run here; the stepping loop is
     ``_rk4_loop()``: the compiled kernel of _rk4.c when it loads, else
     ``_rk4_numpy``, the reference.  Both give bit-identical trajectories.
     """
+    global _last
     derived = derive(circuit)
     t_plasma = 2.0 * math.pi / derived.omega_p
     if dt is None:
@@ -203,14 +262,13 @@ def simulate(
         )
     n_steps = max(1, int(math.ceil(t_end / dt)))
     n = circuit.n_jtl
-
-    # Drive samples on the half-step grid shared by the RK4 stages.
-    half_t = 0.5 * dt * np.arange(2 * n_steps + 1)
-    if drive is None:
-        v_drive = np.zeros(half_t.size)
-    else:
-        # incident wave -> Thevenin open-circuit voltage of the input line
-        v_drive = 2.0 * drive.sample(half_t)
+    loop = _rk4_loop()
+    last, _last = _last, None
+    s = 0
+    if initial_phi is None:
+        s = _shared_columns(last, circuit, dt, loop, drive, n_steps)
+    if not s:
+        last = None
 
     phi = np.zeros(n) if initial_phi is None else np.array(initial_phi, dtype=float)
     if phi.shape != (n,):
@@ -218,37 +276,64 @@ def simulate(
 
     phi_out = np.empty((n, n_steps + 1))
     v_out = np.empty((n, n_steps + 1))
-    phi_out[:, 0] = phi
-    v_out[:, 0] = 0.0
+    v_source = np.empty(n_steps + 1)
+    if s:
+        prev = last[-1]
+        phi_out[:, :s + 1] = prev.phi[:, :s + 1]
+        v_out[:, :s + 1] = prev.v[:, :s + 1]
+        v_source[:s] = prev.v_source[:s]
+        last = prev = None
+    else:
+        phi_out[:, 0] = phi
+        v_out[:, 0] = 0.0
 
-    _rk4_loop()(phi_out, v_out, v_drive, dt, _lattice(circuit))
-    phi_new, v_new = phi_out[:, 1:], v_out[:, 1:]
+    # Drive samples on the half-step grid shared by the RK4 stages, from
+    # the first step still to take.
+    half_t = 0.5 * dt * np.arange(2 * s, 2 * n_steps + 1)
+    if drive is None:
+        v_drive = np.zeros(half_t.size)
+    else:
+        # incident wave -> Thevenin open-circuit voltage of the input line
+        v_drive = drive.sample(half_t)
+        v_drive *= 2.0
+    del half_t
+    v_source[s:] = v_drive[::2]
+
+    loop(phi_out[:, s:], v_out[:, s:], v_drive, dt, _lattice(circuit))
+    phi_new, v_new = phi_out[:, s + 1:], v_out[:, s + 1:]
     if not (np.isfinite(phi_new).all() and np.isfinite(v_new).all()):
         bad = ~(np.isfinite(phi_new) & np.isfinite(v_new)).all(axis=0)
-        step = int(bad.argmax()) + 1
+        step = int(bad.argmax()) + s + 1
         raise SolverError(
             f"non-finite state at step {step} (t = {step * dt:.3e} s), "
             f"max |phi| = {np.nanmax(np.abs(phi_out[:, :step])):.3e}"
         )
 
     times = dt * np.arange(n_steps + 1)
-    return Trajectory(
+    for record in (times, phi_out, v_out, v_source):
+        record.flags.writeable = False
+    traj = Trajectory(
         times=times,
         phi=phi_out,
         v=v_out,
-        v_source=v_drive[::2].copy(),
+        v_source=v_source,
         circuit=circuit,
         derived=derived,
         drive_end=0.0 if drive is None else drive.duration,
     )
+    if initial_phi is None:
+        _last = (circuit, dt, loop, drive, traj)
+    return traj
 
 
 def _rk4_numpy(
     phi_out: np.ndarray, v_out: np.ndarray, v_drive: np.ndarray, dt: float,
     lattice: tuple,
 ) -> None:
-    """The reference RK4 loop: advance from column 0 of phi_out/v_out and
-    fill the rest.  It only steps; ``simulate`` checks the record."""
+    """The reference RK4 loop: advance from column 0 of phi_out/v_out (a
+    record or a window of its trailing columns) and fill the rest; v_drive
+    holds the 2 (columns - 1) + 1 half-step samples of the window.  It only
+    steps; ``simulate`` checks the record."""
     phi = phi_out[:, 0].copy()
     v = v_out[:, 0].copy()
     sixth = dt / 6.0
@@ -294,21 +379,40 @@ def _load_kernel():
         _log.warning("compiled RK4 kernel unavailable (%s); using the numpy loop", exc)
         return _rk4_numpy
     kernel.restype = None
-    kernel.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_double,
+    kernel.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_double,
                        *[ctypes.c_void_p] * 5]
 
     def rk4_compiled(phi_out, v_out, v_drive, dt, lattice):
         # the kernel takes raw addresses: every array must stay referenced
         v_drive = np.ascontiguousarray(v_drive, dtype=float)
-        n = phi_out.shape[0]
+        _check_window(phi_out, v_out, v_drive)
+        n, columns = phi_out.shape
         work = np.empty(12 * n)
         kernel(
-            n, phi_out.shape[1] - 1, dt, (ctypes.c_double * len(lattice))(*lattice),
-            v_drive.ctypes.data, phi_out.ctypes.data, v_out.ctypes.data,
-            work.ctypes.data,
+            n, columns - 1, phi_out.strides[0] // 8, dt,
+            (ctypes.c_double * len(lattice))(*lattice), v_drive.ctypes.data,
+            phi_out.ctypes.data, v_out.ctypes.data, work.ctypes.data,
         )
 
     return rk4_compiled
+
+
+def _check_window(phi_out: np.ndarray, v_out: np.ndarray, v_drive: np.ndarray) -> None:
+    """Raise ValueError unless the kernel addresses only elements of these
+    arrays: equal (rows >= 1, columns >= 1) shapes and row strides, writable
+    float64 rows of contiguous columns, and 2 (columns - 1) + 1 drive
+    samples."""
+    for record in (phi_out, v_out):
+        if (record.ndim != 2 or min(record.shape) < 1 or record.dtype != np.float64
+                or record.strides[1] != 8 or record.strides[0] % 8
+                or not record.flags.writeable):
+            raise ValueError("phi_out and v_out must be writable float64 "
+                             "(rows, columns) records with contiguous columns")
+    if phi_out.shape != v_out.shape or phi_out.strides[0] != v_out.strides[0]:
+        raise ValueError("phi_out and v_out must have equal shapes and row strides")
+    if v_drive.shape != (2 * phi_out.shape[1] - 1,):
+        raise ValueError(f"v_drive must hold 2 (columns - 1) + 1 = "
+                         f"{2 * phi_out.shape[1] - 1} samples, got {v_drive.size}")
 
 
 def _open_library() -> ctypes.CDLL:

@@ -10,6 +10,7 @@ import os
 import numpy as np
 import pytest
 
+from jtlpulse import solver
 from jtlpulse.analysis import energy_audit, esd
 from jtlpulse.circuit import PHI0, CircuitParams, derive, solve_geometry
 from jtlpulse.experiments import (
@@ -107,6 +108,7 @@ def table1_report():
 
 
 def test_table1_parallel_matches_serial(table1_report):
+    solver.forget_last_run()
     assert table1_report.to_json() == run_table1(jobs=1).to_json()
 
 

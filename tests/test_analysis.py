@@ -145,6 +145,18 @@ class TestForwardEnergy:
             loop = _forward_energy_loop(v, i, z0, times)
         assert fast.hex() == loop.hex()
 
+    def test_record_lengths_match_power_waves(self):
+        # the in-place trapezoid against np.trapezoid across add.reduce's
+        # pairwise blocks, up to the longest bandwidth_sweep record
+        rng = np.random.default_rng(7)
+        v = rng.normal(0.0, 1e-4, 106_048)
+        i = rng.normal(0.0, 1e-6, v.size)
+        times = 1.7e-13 * np.arange(v.size)
+        lengths = [*range(2, 300), *rng.integers(300, v.size, 40), v.size]
+        for n in lengths:
+            args = (v[:n], i[:n], 21.5, times[:n])
+            assert forward_energy(*args).hex() == _forward_energy_loop(*args).hex(), n
+
     @pytest.mark.parametrize("z0", [0.0, -1.0, math.inf, math.nan])
     def test_z0_domain_as_power_waves(self, z0):
         with pytest.raises(ValueError) as expected:

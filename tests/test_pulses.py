@@ -233,6 +233,57 @@ class TestSample:
         _assert_sample_matches_loop(train, start + step * np.arange(count))
 
 
+def _pulse_train(triples):
+    """A PulseTrain from (t_center, area in Phi0, width) triples, sorted."""
+    pulses = tuple(sech_pulse(a * PHI0, w, c) for c, a, w in sorted(triples))
+    tail = max((c + 5.0 * w for c, _, w in triples), default=0.0)
+    return PulseTrain(pulses=pulses, duration=tail)
+
+
+class TestSharedSamples:
+    def test_flat_top_trains_part_at_the_closing_pulse(self):
+        short, long = (_drive_train(PhaseEnvelope.flat_top(2 * n - 1)) for n in (3, 6))
+        dt = short.pulses[0].width / 20.0
+        t = 0.5 * dt * np.arange(2 * int(long.duration / dt) + 1)
+        m = short.shared_samples(long, t)
+        closing = short.pulses[-1]
+        assert m == np.searchsorted(t, closing.t_center - 26.0 * closing.width)
+        a, b = short.sample(t), long.sample(t)
+        assert a[:m].tobytes() == b[:m].tobytes()
+        assert a[m] != b[m]
+        assert long.shared_samples(short, t) == m
+
+    def test_equal_trains_share_every_sample(self):
+        train = _drive_train(PhaseEnvelope.gaussian(9))
+        t = np.linspace(0.0, train.duration, 500)
+        assert train.shared_samples(_drive_train(PhaseEnvelope.gaussian(9)), t) == 500
+
+    @given(
+        shared=st.lists(st.tuples(st.floats(0.0, 1e-9), st.floats(-3.0, 3.0),
+                                  st.floats(1e-13, 5e-11)), max_size=4),
+        rests=st.lists(
+            st.lists(st.tuples(st.floats(0.0, 1e-9), st.floats(-3.0, 3.0),
+                               st.floats(1e-13, 5e-11)), max_size=3),
+            min_size=2, max_size=2,
+        ),
+        step=st.floats(1e-14, 5e-12),
+        count=st.integers(0, 2000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shared_samples_are_equal(self, shared, rests, step, count):
+        # the trains share their leading pulses, then go on as they please
+        shared = sorted(shared)
+        last = shared[-1][0] if shared else 0.0
+        a, b = ([(last + c, area, w) for c, area, w in rest] for rest in rests)
+        train_a, train_b = _pulse_train(shared + a), _pulse_train(shared + b)
+        t = step * np.arange(count)
+        m = train_a.shared_samples(train_b, t)
+        assert m == train_b.shared_samples(train_a, t)
+        assert train_a.sample(t)[:m].tobytes() == train_b.sample(t)[:m].tobytes()
+        # sampling the prefix alone gives the same values
+        assert train_a.sample(t[:m]).tobytes() == train_b.sample(t)[:m].tobytes()
+
+
 class TestSerialization:
     def test_duration_invariant_enforced(self):
         p = sech_pulse(PHI0, 10e-12, t_center=1e-10)

@@ -46,9 +46,11 @@ def kernel():
 
 
 def _on_both_loops(monkeypatch, kernel):
-    """Yield once with the compiled loop in place, once with the numpy loop."""
+    """Yield once with the compiled loop in place, once with the numpy loop,
+    each time with no run remembered, so each loop integrates every step."""
     for loop in (kernel, solver._rk4_numpy):
         monkeypatch.setattr(solver, "_rk4_loop", lambda: loop)
+        solver.forget_last_run()
         yield
 
 
@@ -200,6 +202,7 @@ class TestSimulate:
         pulse = sech_pulse(PHI0, 20e-12, 1e-10)
         train = PulseTrain(pulses=(pulse,), duration=2e-10)
         a = simulate(c, train, 1e-9)
+        solver.forget_last_run()  # else b copies a
         b = simulate(c, train, 1e-9)
         assert np.array_equal(a.phi, b.phi)
         assert np.array_equal(a.v, b.v)
@@ -285,6 +288,8 @@ class TestSimulate:
             traj.i_in, (traj.v_source - traj.v[0]) / c.z_in, rtol=1e-12
         )
         assert np.allclose(traj.i_out, traj.v[-1] / c.z_out, rtol=1e-12)
+        # the in-place port current, bit for bit
+        assert traj.i_in.tobytes() == ((traj.v_source - traj.v[0]) / c.z_in).tobytes()
 
 
 def _train(triples):
@@ -357,6 +362,59 @@ class TestCompiledKernel:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert "at step 1 " in messages[0]
+
+
+def _window_args(rows=3, columns=6):
+    """Records, drive and lattice for one kernel call on a fresh window."""
+    rng = np.random.default_rng(rows * columns)
+    phi, v = np.zeros((rows, columns)), np.zeros((rows, columns))
+    phi[:, 0] = rng.normal(0.0, 1.0, rows)
+    drive = rng.normal(0.0, 1e-6, 2 * columns - 1)
+    c = _circuit(n_jtl=rows)
+    return phi, v, drive, 2 * math.pi / derive(c).omega_p / 200, _lattice(c)
+
+
+class TestKernelWindow:
+    """The kernel steps a window of trailing columns, and is refused any
+    window it would address outside the arrays it is given."""
+
+    def test_steps_a_window_like_the_numpy_loop(self, kernel):
+        _, _, drive, dt, lattice = _window_args(columns=7)
+        records = []
+        for loop in (kernel, solver._rk4_numpy):
+            phi, v = np.full((3, 10), 7.0), np.full((3, 10), 7.0)
+            phi[:, 3] = [0.1, -0.2, 0.3]
+            v[:, 3] = 0.0
+            loop(phi[:, 3:], v[:, 3:], drive, dt, lattice)
+            records.append((phi, v))
+        (phi_c, v_c), (phi_n, v_n) = records
+        assert phi_c.tobytes() == phi_n.tobytes()
+        assert v_c.tobytes() == v_n.tobytes()
+        assert (phi_c[:, :3] == 7.0).all() and (v_c[:, :3] == 7.0).all()
+
+    def test_refuses_unequal_shapes(self, kernel):
+        phi, v, drive, dt, lattice = _window_args()
+        with pytest.raises(ValueError, match="equal shapes and row strides"):
+            kernel(phi, np.zeros((3, 5)), drive, dt, lattice)
+
+    def test_refuses_unequal_row_strides(self, kernel):
+        phi, _, drive, dt, lattice = _window_args()
+        v = np.zeros((3, 9))[:, 3:]
+        with pytest.raises(ValueError, match="equal shapes and row strides"):
+            kernel(phi, v, drive, dt, lattice)
+
+    def test_refuses_columns_not_contiguous(self, kernel):
+        _, _, drive, dt, lattice = _window_args()
+        phi, v = np.zeros((3, 12))[:, ::2], np.zeros((3, 12))[:, ::2]
+        with pytest.raises(ValueError, match="contiguous columns"):
+            kernel(phi, v, drive, dt, lattice)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_refuses_wrong_drive_length(self, kernel, extra):
+        phi, v, drive, dt, lattice = _window_args()
+        drive = np.zeros(drive.size + extra)
+        with pytest.raises(ValueError, match=r"2 \(columns - 1\) \+ 1 = 11 samples"):
+            kernel(phi, v, drive, dt, lattice)
 
 
 @pytest.fixture(scope="module")
@@ -441,7 +499,10 @@ class TestKernelCache:
             # a file where the cache directory goes (root ignores mode bits)
             (tmp_path / "cache").write_text("")
         caplog.set_level(logging.WARNING, logger="jtlpulse.solver")
+        # each run integrates: none copies the numpy loop's reference
+        solver.forget_last_run()
         first = simulate(c, train, 5e-10)
+        solver.forget_last_run()
         second = simulate(c, train, 5e-10)
         assert solver._rk4_loop() is solver._rk4_numpy
         assert len(_kernel_notices(caplog)) == 1
