@@ -16,6 +16,7 @@ import sys
 import types
 import typing
 from collections.abc import Sequence
+from dataclasses import replace
 
 from .circuit import CircuitParams, ParameterError, derive
 from .solver import SolverError
@@ -145,10 +146,11 @@ def circuit_from_config(conf: dict) -> CircuitParams:
     for key in ("i_c", "c_j", "l"):
         if key not in section:
             raise ConfigError(f"[circuit] section is missing required key {key!r}")
-    z_jtl = math.sqrt(section["l"] / section["c_j"])
-    section.setdefault("z_in", z_jtl / 5.0)
-    section.setdefault("z_out", z_jtl / 0.25)
-    return CircuitParams(**section)
+    # validates i_c, c_j and l before the default terminations divide by them
+    params = CircuitParams(**{"z_in": math.inf, "z_out": math.inf, **section})
+    z_jtl = math.sqrt(params.l / params.c_j)
+    return replace(params, z_in=section.get("z_in", z_jtl / 5.0),
+                   z_out=section.get("z_out", z_jtl / 0.25))
 
 
 def cmd_derive(args) -> int:

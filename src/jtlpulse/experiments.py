@@ -270,6 +270,8 @@ def run_fluxoid_train(
         raise ScenarioError(f"n_pairs must be >= 1, got {n_pairs}")
     if drive_model not in ("source", "incident"):
         raise ScenarioError(f"unknown drive_model {drive_model!r}")
+    if sigma is not None and shape == "flat_top":
+        raise ScenarioError("sigma applies to the gaussian shape only")
     _require_positive("theta_peak", theta_peak)
     _require_positive("lambda_j", lambda_j)
     if n_jtl is None:
@@ -375,8 +377,9 @@ def run_single_fluxon(
     and zero windings mean fluxon-preserving reflection.
     """
     alphas = [float(a) for a in np.atleast_1d(alpha_out)]
-    if any(not 0.05 < a <= 1.0 for a in alphas):
-        raise ScenarioError("alpha_out grid must lie within (0.05, 1.0]")
+    if not alphas or any(not 0.05 < a <= 1.0 for a in alphas):
+        raise ScenarioError(
+            "alpha_out grid must be non-empty and lie within (0.05, 1.0]")
     _require_positive("i_c", i_c)
     _require_positive("f_plasma", f_plasma)
     _require_positive("n_tail_periods", n_tail_periods)
@@ -417,7 +420,7 @@ def run_single_fluxon(
             )
         )
     provenance = {"scenario": "single_fluxon", "alpha_out_grid": alphas,
-                  "config": runs[0].config if runs else {}}
+                  "config": runs[0].config}
     return ScenarioReport(scenario="single_fluxon", runs=tuple(runs),
                           provenance=provenance)
 

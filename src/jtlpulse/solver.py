@@ -41,12 +41,12 @@ _repr.c (``analysis._csv_rows``).  ``_open_library`` builds both sources
 in one compiler run, with the C compiler Python was built with
 (sysconfig's CC, else ``cc``), into $XDG_CACHE_HOME/jtlpulse (default
 ~/.cache/jtlpulse), under a name keyed by the sources and the flags; later
-calls and processes load that build, and a new build removes the older
-ones there.  Each of its two users loads it on its own first use and falls
-back on its own, with one logged warning, to its Python reference if the
-library cannot be built or loaded or fails that user's check: the numpy
-loop if the C library's sin differs from np.sin, ``repr`` if the formatter
-misprints a probe value.
+calls and processes load that build, and other versions' builds there
+stay for the versions that load them.  Each of its two users loads it on
+its own first use and falls back on its own, with one logged warning, to
+its Python reference if the library cannot be built or loaded or fails
+that user's check: the numpy loop if the C library's sin differs from
+np.sin, ``repr`` if the formatter misprints a probe value.
 """
 
 from __future__ import annotations
@@ -422,7 +422,9 @@ def _open_library() -> ctypes.CDLL:
     The library's name carries a CRC-32 of both sources and the compiler
     flags, so an edited source never loads a stale build; a cache hit reads
     the sources and opens the library, and starts no process (hashlib is
-    not used: loading OpenSSL costs more than the whole hit).
+    not used: loading OpenSSL costs more than the whole hit).  A miss builds
+    through a temporary file and an atomic rename, so concurrent builds
+    never expose a partial library.
     """
     sources = (_RK4_SOURCE, _REPR_SOURCE)
     key = zlib.crc32(b"".join(s.read_bytes() for s in sources)
@@ -430,47 +432,26 @@ def _open_library() -> ctypes.CDLL:
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
     path = cache / "jtlpulse" / f"lib-{key:08x}.so"
     if not path.exists():
-        _compile_library(path, sources)
+        import subprocess  # only a cache miss needs them
+        import sysconfig
+
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
+        os.close(fd)
+        try:
+            cc = (sysconfig.get_config_var("CC") or "cc").split()
+            try:
+                subprocess.run(
+                    [*cc, *_CFLAGS, "-o", tmp, *map(str, sources), "-lm"],
+                    check=True, capture_output=True, text=True,
+                )
+            except subprocess.CalledProcessError as exc:
+                raise OSError(f"{cc[0]} failed: {exc.stderr.strip()}") from exc
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     return ctypes.CDLL(str(path))
-
-
-def _compile_library(path: Path, sources: tuple[Path, ...]) -> None:
-    """Build ``sources`` into ``path`` through a temporary file and an
-    atomic rename, so concurrent builds never expose a partial library.
-
-    Once the build is in place, the builds of other sources or flags in the
-    same directory (``lib-*.so``, and the ``rk4-*.so`` of older releases)
-    are removed: no loader opens them again.  Only files last written before
-    this build started go, so a concurrent build's library and every
-    ``*.tmp`` stay; a file that cannot be removed is left.
-    """
-    import subprocess  # only a cache miss needs them
-    import sysconfig
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
-    # the build's start, on the file system's own clock
-    started = os.fstat(fd).st_mtime_ns
-    os.close(fd)
-    try:
-        cc = (sysconfig.get_config_var("CC") or "cc").split()
-        try:
-            subprocess.run(
-                [*cc, *_CFLAGS, "-o", tmp, *map(str, sources), "-lm"],
-                check=True, capture_output=True, text=True,
-            )
-        except subprocess.CalledProcessError as exc:
-            raise OSError(f"{cc[0]} failed: {exc.stderr.strip()}") from exc
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    for stale in [*path.parent.glob("lib-*.so"), *path.parent.glob("rk4-*.so")]:
-        try:
-            if stale != path and stale.stat().st_mtime_ns < started:
-                stale.unlink()
-        except OSError:
-            pass
 
 
 def dispersion_check(circuit: CircuitParams, k: float) -> float:

@@ -87,6 +87,19 @@ class TestDerive:
         assert main(["derive", "--config", str(path)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["derive", "validate"])
+    @pytest.mark.parametrize("key, value", [
+        ("c_j", "0"), ("c_j", "-8e-13"), ("l", "-8e-12"), ("l", "0"), ("i_c", "0"),
+    ])
+    def test_bad_line_value_names_field(self, tmp_path, capsys, command, key, value):
+        # the default terminations divide by these: checked first
+        keys = {"i_c": "4e-6", "c_j": "8e-13", "l": "8e-12", key: value}
+        lines = [f"{k} = {v}" for k, v in keys.items()]
+        config = _write(tmp_path, "\n".join(["[circuit]", *lines]) + "\n")
+        assert main([command, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be finite and positive, got {float(value)!r}" in err
+
     def test_missing_file(self, capsys):
         assert main(["derive", "--config", "/nonexistent.ini"]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -202,6 +215,10 @@ class TestRun:
         ("efficiency_map", "i_c_grid = 0, 3e-6", "i_c_grid"),
         ("efficiency_map", "omega_p_grid = 0", "omega_p_grid"),
         ("bandwidth_sweep", "n_pairs_list = 5, inf", "n_pairs_list"),
+        ("single_fluxon", "alpha_out_grid =", "alpha_out grid must be non-empty"),
+        ("alpha_sweep", "alpha_out_grid =", "alpha_out grid must be non-empty"),
+        ("flat_top", "sigma = 1.5", "sigma applies to the gaussian shape only"),
+        ("bandwidth_sweep", "sigma = 1.5", "sigma applies to the gaussian shape only"),
         ("efficiency_map", "jobs = 0", "jobs must be >= 1, got 0"),
         ("table1", "jobs = -3", "jobs must be >= 1, got -3"),
     ])

@@ -485,6 +485,26 @@ class TestDriveModels:
             run_flat_top(n_pairs=5, drive_model="bogus")
 
 
+class TestSigma:
+    @pytest.mark.parametrize("runner", [
+        run_flat_top, functools.partial(run_gaussian, shape="flat_top"),
+        run_bandwidth_sweep,
+    ])
+    def test_flat_top_sigma_rejected_before_simulating(self, monkeypatch, runner):
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulate called for a flat-top train with sigma")
+
+        monkeypatch.setattr(experiments, "simulate", no_simulate)
+        with pytest.raises(ScenarioError, match="sigma"):
+            runner(sigma=1.5)
+
+    def test_gaussian_sigma_shapes_the_train(self):
+        narrow = run_flat_top(n_pairs=3, shape="gaussian", sigma=1.0)
+        wide = run_flat_top(n_pairs=3, shape="gaussian", sigma=4.0)
+        assert (narrow.config["sigma"], wide.config["sigma"]) == (1.0, 4.0)
+        assert narrow.power != wide.power
+
+
 class TestSettle:
     """A 19-extremum train on a nearly lossless 15 GHz line whose first tail,
     half a plasma period, leaves too much energy stored in the line."""
