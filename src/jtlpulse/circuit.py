@@ -24,6 +24,15 @@ class ParameterError(ValueError):
     """A circuit parameter violates its validity constraints."""
 
 
+def require_positive(name: str, value: float, *, finite: bool = True) -> None:
+    """Refuse ``value`` of parameter ``name`` unless it is > 0 and, when
+    ``finite``, below infinity (a termination or a damping resistance may be
+    infinite: an open end, a lossless junction)."""
+    if not (value > 0.0 and (value < math.inf or not finite)):
+        what = "finite and positive" if finite else "strictly positive"
+        raise ParameterError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CircuitParams:
     """Per-cell electrical parameters plus the two port terminations.
@@ -46,12 +55,10 @@ class CircuitParams:
     n_jtl: int = 13
 
     def __post_init__(self) -> None:
-        for name in ("i_c", "c_j", "l", "z_in", "z_out", "r_n"):
-            value = getattr(self, name)
-            finite = name in ("i_c", "c_j", "l")
-            if not (value > 0.0 and (value < math.inf or not finite)):
-                what = "finite and positive" if finite else "strictly positive"
-                raise ParameterError(f"{name} must be {what}, got {value!r}")
+        for name in ("i_c", "c_j", "l"):
+            require_positive(name, getattr(self, name))
+        for name in ("z_in", "z_out", "r_n"):
+            require_positive(name, getattr(self, name), finite=False)
         if int(self.n_jtl) != self.n_jtl or self.n_jtl < 2:
             raise ParameterError(f"n_jtl must be an integer >= 2, got {self.n_jtl!r}")
 
@@ -141,12 +148,12 @@ def solve_geometry(
     ratios.  This reproduces the reference (i_c, l, c_j) triples to four
     significant figures.  A literal ``l`` or ``c_j`` (a printed table row)
     replaces the solved value, and the matching target is then unused.
+    Every target must be finite and positive.
     """
     targets = {"i_c": i_c, "lambda_j": lambda_j, "omega_p": omega_p,
                "alpha_in": alpha_in, "alpha_out": alpha_out}
     for name, value in targets.items():
-        if not value > 0:
-            raise ParameterError(f"{name} must be strictly positive, got {value!r}")
+        require_positive(name, value)
     l_j = PHI0 / (2.0 * math.pi * i_c)
     if c_j is None:
         c_j = 1.0 / (omega_p**2 * l_j)

@@ -24,7 +24,7 @@ from .analysis import AnalysisError
 from .experiments import (
     SCENARIO_IDS,
     ScenarioError,
-    check_overrides,
+    check_scenario,
     run_scenario,
     scenario_parameters,
 )
@@ -180,7 +180,9 @@ def cmd_validate(args) -> int:
     conf = load_config(args.config)
     if conf["circuit"]:
         circuit_from_config(conf)
-    check_overrides(_scenario_overrides(conf)[1])
+    sid, overrides = _scenario_overrides(conf)
+    if sid is not None:
+        check_scenario(sid, overrides)
     print("configuration ok")
     return 0
 

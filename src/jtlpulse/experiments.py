@@ -21,6 +21,7 @@ characteristic impedance sqrt(l_j/c_j)).
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import math
@@ -40,6 +41,7 @@ from .circuit import (
     CircuitParams,
     DerivedParams,
     derive,
+    require_positive,
     solve_geometry,
 )
 from .pulses import (
@@ -142,13 +144,6 @@ TABLE1_GAUSSIAN = (
 TABLE1_TOLERANCES = {"f0": 0.05, "fwhm": 0.40, "p_in": 0.25, "p_band_db": 6.0}
 
 
-def _require_positive(name: str, *values: float) -> None:
-    """Refuse scenario input ``name`` unless every value is finite and > 0."""
-    for value in values:
-        if not 0.0 < value < math.inf:
-            raise ScenarioError(f"{name} must be finite and positive, got {value!r}")
-
-
 def _damping_r_n(i_c: float, omega_p: float, quality: float) -> float:
     """Line-junction damping resistance: ``quality`` times sqrt(l_j/c_j) of
     the junction with critical current i_c and plasma frequency omega_p."""
@@ -237,6 +232,72 @@ def _measure_train_run(
     return spectrum, report
 
 
+_signature = functools.cache(inspect.signature)
+
+
+def _arguments(fn, *args, **kwargs) -> dict:
+    """The arguments of the call ``fn(*args, **kwargs)`` by name, with
+    ``fn``'s defaults applied."""
+    bound = _signature(fn).bind(*args, **kwargs)
+    bound.apply_defaults()
+    return bound.arguments
+
+
+def _checked_by(check):
+    """Decorator: ``check`` is the runner's input check, applied to its
+    arguments before anything else runs: by the runner itself, ``locals()``
+    as its first statement, or by run_fluxoid_train for the train runners
+    that hand it theirs.  ``runner.check(*args, **kwargs)`` applies it alone
+    to a call's ``_arguments``: validate does, and so does a runner that
+    calls runners, for all those calls before the first."""
+
+    def register(runner):
+        runner.check = lambda *args, **kw: check(_arguments(runner, *args, **kw))
+        return runner
+
+    return register
+
+
+def _check_train(
+    a: dict,
+) -> tuple[CircuitParams, DerivedParams, float, float, PhaseEnvelope]:
+    """Refuse the arguments ``a`` of a train runner, the ``kwargs`` that
+    run_flat_top and run_gaussian hand on to run_fluxoid_train included;
+    returns the line, its derived scales, the drive pulse width, the pulse
+    spacing and the phase envelope the run is built from."""
+    own = {k: v for k, v in a.items() if k != "kwargs"}
+    t = _arguments(run_fluxoid_train, **own, **a.get("kwargs", {}))
+    if t["n_pairs"] < 1:
+        raise ScenarioError(f"n_pairs must be >= 1, got {t['n_pairs']}")
+    if t["drive_model"] not in ("source", "incident"):
+        raise ScenarioError(f"unknown drive_model {t['drive_model']!r}")
+    if t["shape"] not in ("flat_top", "gaussian"):
+        raise ScenarioError(f"unknown train shape {t['shape']!r}")
+    if t["sigma"] is not None and t["shape"] == "flat_top":
+        raise ScenarioError("sigma applies to the gaussian shape only")
+    require_positive("theta_peak", t["theta_peak"])
+    # the default line length is computed from it before any circuit exists
+    require_positive("lambda_j", t["lambda_j"])
+    n_jtl = _jtl_length(t["lambda_j"]) if t["n_jtl"] is None else t["n_jtl"]
+    circuit = solve_geometry(
+        t["i_c"], t["lambda_j"], t["omega_p"], t["alpha_in"], t["alpha_out"],
+        n_jtl, t["r_n"], l=t["l"], c_j=t["c_j"],
+    )
+    derived = derive(circuit)
+    width = derived.l_j / R_SFQ if t["width"] is None else t["width"]
+    sech_pulse(PHI0, width)  # refuses a width no drive pulse can have
+    spacing = schedule_spacing(derived, t["spacing_multiple"])
+    m = 2 * t["n_pairs"] - 1
+    # halving the phase halves every pulse area exactly, so the solver's
+    # Thevenin doubling of a source-model train samples the source EMF
+    theta = 0.5 * t["theta_peak"] if t["drive_model"] == "source" else t["theta_peak"]
+    if t["shape"] == "gaussian":
+        envelope = PhaseEnvelope.gaussian(m, peak=theta, sigma=t["sigma"])
+    else:
+        envelope = PhaseEnvelope.flat_top(m, theta)
+    return circuit, derived, width, spacing, envelope
+
+
 def run_fluxoid_train(
     i_c: float,
     omega_p: float,
@@ -257,7 +318,7 @@ def run_fluxoid_train(
     c_j: float | None = None,
     dt_divisor: int = DEFAULT_DT_DIVISOR,
 ) -> RunResult:
-    """One fluxoid-pair-train run: build, settle, measure.
+    """One fluxoid-pair-train run: check, build, settle, measure.
 
     ``n_pairs`` pulse pairs means 2 n_pairs alternating pulses compiled from
     2 n_pairs - 1 phase extrema, so the train is balanced.  The sech time
@@ -266,35 +327,9 @@ def run_fluxoid_train(
     30.71 ps at 3 uA, since the sech extent above a tenth of its peak spans
     ~2 pi time constants.
     """
-    if n_pairs < 1:
-        raise ScenarioError(f"n_pairs must be >= 1, got {n_pairs}")
-    if drive_model not in ("source", "incident"):
-        raise ScenarioError(f"unknown drive_model {drive_model!r}")
-    if sigma is not None and shape == "flat_top":
-        raise ScenarioError("sigma applies to the gaussian shape only")
-    _require_positive("theta_peak", theta_peak)
-    _require_positive("lambda_j", lambda_j)
-    if n_jtl is None:
-        n_jtl = _jtl_length(lambda_j)
-    circuit = solve_geometry(
-        i_c, lambda_j, omega_p, alpha_in, alpha_out, n_jtl, r_n, l=l, c_j=c_j
-    )
-    derived = derive(circuit)
-    if width is None:
-        width = derived.l_j / R_SFQ
-    spacing = schedule_spacing(derived, spacing_multiple)
-    m = 2 * n_pairs - 1
-    # halving the phase halves every pulse area exactly, so the solver's
-    # Thevenin doubling of a source-model train samples the source EMF
-    theta = 0.5 * theta_peak if drive_model == "source" else theta_peak
-    if shape == "flat_top":
-        envelope = PhaseEnvelope.flat_top(m, theta)
-    elif shape == "gaussian":
-        envelope = PhaseEnvelope.gaussian(m, peak=theta, sigma=sigma)
-    else:
-        raise ScenarioError(f"unknown train shape {shape!r}")
+    circuit, derived, width, spacing, envelope = _check_train(locals())
     train = compile_envelope(envelope, spacing, width, t_start=5.0 * width)
-    seq_duration = (m + 1) * spacing
+    seq_duration = (len(envelope.theta) + 1) * spacing
     t_tail0 = 30.0 * 2.0 * math.pi / derived.omega_p
     traj, e_in = _simulate_settled(circuit, train, t_tail0, dt_divisor=dt_divisor)
     spectrum, power = _measure_train_run(traj, e_in, seq_duration)
@@ -303,7 +338,7 @@ def run_fluxoid_train(
         "lambda_j": derived.lambda_j, "n_pairs": n_pairs,
         "theta_peak": theta_peak, "sigma": sigma, "alpha_in": alpha_in,
         "alpha_out": alpha_out, "r_n": circuit.r_n, "l": circuit.l,
-        "c_j": circuit.c_j, "n_jtl": n_jtl, "width": width,
+        "c_j": circuit.c_j, "n_jtl": circuit.n_jtl, "width": width,
         "spacing": spacing, "spacing_multiple": spacing_multiple,
         "drive_model": drive_model, "dt_divisor": dt_divisor,
         "seq_duration": seq_duration,
@@ -318,6 +353,7 @@ def run_fluxoid_train(
     )
 
 
+@_checked_by(_check_train)
 def run_flat_top(
     i_c: float = 4e-6,
     omega_p: float = 2.0 * math.pi * 19.617e9,
@@ -339,20 +375,50 @@ GAUSSIAN_ALPHA_IN = 7.0
 GAUSSIAN_PEAK_THETA = 8.0 * math.pi * math.sqrt(5.0 / GAUSSIAN_ALPHA_IN)
 
 
+@_checked_by(_check_train)
 def run_gaussian(
     i_c: float = 4e-6,
     omega_p: float = 2.0 * math.pi * 17.546e9,
     n_pairs: int = 41,
     shape: str = "gaussian",
+    *,
+    lambda_j: float = 2.50,
+    alpha_in: float = GAUSSIAN_ALPHA_IN,
+    theta_peak: float = GAUSSIAN_PEAK_THETA,
     **kwargs,
 ) -> RunResult:
     """Gaussian train: fluxoid amplitudes tracing a Gaussian envelope."""
-    kwargs.setdefault("lambda_j", 2.50)
-    kwargs.setdefault("alpha_in", GAUSSIAN_ALPHA_IN)
-    kwargs.setdefault("theta_peak", GAUSSIAN_PEAK_THETA)
-    return run_fluxoid_train(i_c, omega_p, n_pairs, shape, **kwargs)
+    return run_fluxoid_train(i_c, omega_p, n_pairs, shape, lambda_j=lambda_j,
+                             alpha_in=alpha_in, theta_peak=theta_peak, **kwargs)
 
 
+def _check_single_fluxon(a: dict) -> list[tuple[float, CircuitParams, float]]:
+    """Refuse the arguments ``a`` of run_single_fluxon; returns (alpha_out,
+    line, sech time constant of the injected fluxon) of each point."""
+    alphas = [float(x) for x in np.atleast_1d(a["alpha_out"])]
+    if not alphas or any(not 0.05 < x <= 1.0 for x in alphas):
+        raise ScenarioError(
+            "alpha_out grid must be non-empty and lie within (0.05, 1.0]")
+    require_positive("n_tail_periods", a["n_tail_periods"])
+    # the line length and the damping resistance are computed from these
+    # before any circuit exists
+    for name in ("i_c", "f_plasma", "lambda_j"):
+        require_positive(name, a[name])
+    require_positive("damping_quality", a["damping_quality"], finite=False)
+    omega_p = 2.0 * math.pi * a["f_plasma"]
+    n_jtl = int(round(4 * a["lambda_j"])) if a["n_jtl"] is None else a["n_jtl"]
+    r_n = _damping_r_n(a["i_c"], omega_p, a["damping_quality"])
+    lines = []
+    for alpha in alphas:
+        circuit = solve_geometry(
+            a["i_c"], a["lambda_j"], omega_p, a["alpha_in"], alpha, n_jtl, r_n
+        )
+        width = single_fluxon_width(derive(circuit), a["v_tilde"])
+        lines.append((alpha, circuit, width))
+    return lines
+
+
+@_checked_by(_check_single_fluxon)
 def run_single_fluxon(
     alpha_out: Sequence[float] = (0.15, 0.2, 0.25, 0.3, 0.35),
     *,
@@ -376,23 +442,11 @@ def run_single_fluxon(
     ring-down is a trapped breather, one winding without it is absorption,
     and zero windings mean fluxon-preserving reflection.
     """
-    alphas = [float(a) for a in np.atleast_1d(alpha_out)]
-    if not alphas or any(not 0.05 < a <= 1.0 for a in alphas):
-        raise ScenarioError(
-            "alpha_out grid must be non-empty and lie within (0.05, 1.0]")
-    _require_positive("i_c", i_c)
-    _require_positive("f_plasma", f_plasma)
-    _require_positive("n_tail_periods", n_tail_periods)
-    _require_positive("lambda_j", lambda_j)
-    if n_jtl is None:
-        n_jtl = int(round(4 * lambda_j))
+    lines = _check_single_fluxon(locals())
     omega_p = 2.0 * math.pi * f_plasma
-    r_n = _damping_r_n(i_c, omega_p, damping_quality)
     runs = []
-    for a in alphas:
-        circuit = solve_geometry(i_c, lambda_j, omega_p, alpha_in, a, n_jtl, r_n)
+    for a, circuit, width in lines:
         derived = derive(circuit)
-        width = single_fluxon_width(derived, v_tilde)
         pulse = sech_pulse(PHI0, width, t_center=6.0 * width)
         train = PulseTrain(pulses=(pulse,), duration=11.0 * width)
         t_end = train.duration + n_tail_periods * 2.0 * math.pi / derived.omega_p
@@ -410,7 +464,7 @@ def run_single_fluxon(
         config = {
             "alpha_out": a, "alpha_in": alpha_in, "i_c": i_c,
             "f_plasma": f_plasma, "lambda_j": lambda_j, "v_tilde": v_tilde,
-            "n_jtl": n_jtl, "r_n": r_n, "width": width,
+            "n_jtl": circuit.n_jtl, "r_n": circuit.r_n, "width": width,
             "damping_quality": damping_quality, "dt_divisor": dt_divisor,
         }
         runs.append(
@@ -419,7 +473,8 @@ def run_single_fluxon(
                 regime=regime, spectrum=spectrum, notes=fit_note,
             )
         )
-    provenance = {"scenario": "single_fluxon", "alpha_out_grid": alphas,
+    provenance = {"scenario": "single_fluxon",
+                  "alpha_out_grid": [a for a, _, _ in lines],
                   "config": runs[0].config}
     return ScenarioReport(scenario="single_fluxon", runs=tuple(runs),
                           provenance=provenance)
@@ -442,6 +497,23 @@ def _classify_regime(
     return "fluxon_reflection"
 
 
+def _check_bandwidth_sweep(a: dict) -> None:
+    """Refuse the arguments ``a`` of run_bandwidth_sweep, each point's
+    run_flat_top call included."""
+    for n in a["n_pairs_list"]:
+        if not float(n).is_integer():
+            raise ScenarioError(f"n_pairs_list value {n!r} is not a whole number")
+    n_list = [int(n) for n in a["n_pairs_list"]]
+    if not n_list or any(y <= x for x, y in zip(n_list, n_list[1:])):
+        raise ScenarioError("n_pairs_list must be non-empty and ascending")
+    require_positive("f_plasma", a["f_plasma"])
+    omega_p = 2.0 * math.pi * a["f_plasma"]
+    for n_pairs in n_list:
+        run_flat_top.check(a["i_c"], omega_p, n_pairs, lambda_j=a["lambda_j"],
+                           **a["kwargs"])
+
+
+@_checked_by(_check_bandwidth_sweep)
 def run_bandwidth_sweep(
     n_pairs_list: Sequence[float] = (50, 100, 200, 500),
     *,
@@ -451,12 +523,8 @@ def run_bandwidth_sweep(
     **kwargs,
 ) -> ScenarioReport:
     """Flat-top FWHM vs pulse-pair count at the fixed 15 GHz circuit."""
-    for n in n_pairs_list:
-        if not float(n).is_integer():
-            raise ScenarioError(f"n_pairs_list value {n!r} is not a whole number")
+    _check_bandwidth_sweep(locals())
     n_list = [int(n) for n in n_pairs_list]
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ScenarioError("n_pairs_list must be non-empty and ascending")
     omega_p = 2.0 * math.pi * f_plasma
     runs = [
         replace(run_flat_top(i_c, omega_p, n_pairs, lambda_j=lambda_j, **kwargs),
@@ -582,17 +650,48 @@ def _fork_share(
             os._exit(code)
 
 
+def _map_run(
+    i_c: float, omega_p: float, alpha_in: float, quality: float, dt_divisor: int
+) -> dict:
+    """Keyword arguments of the protocol runner's call at map point
+    (i_c, omega_p); the runner's defaults give its pair count and lambda_j."""
+    return {"i_c": i_c, "omega_p": omega_p, "alpha_in": alpha_in,
+            "r_n": _damping_r_n(i_c, omega_p, quality),
+            "drive_model": "incident", "dt_divisor": dt_divisor}
+
+
 def _map_point(
     i_c: float, omega_p: float, protocol: str, alpha_in: float, quality: float,
     dt_divisor: int,
 ) -> float:
-    # each protocol's runner defaults give its pair count and lambda_j
     return SCENARIOS[protocol](
-        i_c, omega_p, alpha_in=alpha_in, r_n=_damping_r_n(i_c, omega_p, quality),
-        drive_model="incident", dt_divisor=dt_divisor,
+        **_map_run(i_c, omega_p, alpha_in, quality, dt_divisor)
     ).eta
 
 
+def _check_efficiency_map(a: dict) -> None:
+    """Refuse the arguments ``a`` of run_efficiency_map, each grid point's
+    runner call included, before any point is forked off."""
+    i_c_grid = [float(x) for x in a["i_c_grid"]]
+    omega_p_grid = [float(x) for x in a["omega_p_grid"]]
+    if not i_c_grid or not omega_p_grid:
+        raise ScenarioError("efficiency map grids must be non-empty")
+    if a["protocol"] not in ("flat_top", "gaussian"):
+        raise ScenarioError(f"unknown protocol {a['protocol']!r}")
+    # a point's damping resistance is computed from these before its
+    # runner call can be checked
+    for name, grid in (("i_c_grid", i_c_grid), ("omega_p_grid", omega_p_grid)):
+        for value in grid:
+            require_positive(name, value)
+    require_positive("damping_quality", a["damping_quality"], finite=False)
+    check = SCENARIOS[a["protocol"]].check
+    for omega_p in omega_p_grid:
+        for i_c in i_c_grid:
+            check(**_map_run(i_c, omega_p, a["alpha_in"], a["damping_quality"],
+                             a["dt_divisor"]))
+
+
+@_checked_by(_check_efficiency_map)
 def run_efficiency_map(
     i_c_grid: Sequence[float] = (2e-6, 3e-6),
     omega_p_grid: Sequence[float] = (
@@ -606,14 +705,9 @@ def run_efficiency_map(
     dt_divisor: int = DEFAULT_DT_DIVISOR,
 ) -> ScenarioReport:
     """Energy-efficiency matrix over (i_c, omega_p) for one protocol."""
+    _check_efficiency_map(locals())
     i_c_grid = [float(x) for x in i_c_grid]
     omega_p_grid = [float(x) for x in omega_p_grid]
-    if not i_c_grid or not omega_p_grid:
-        raise ScenarioError("efficiency map grids must be non-empty")
-    _require_positive("i_c_grid", *i_c_grid)
-    _require_positive("omega_p_grid", *omega_p_grid)
-    if protocol not in ("flat_top", "gaussian"):
-        raise ScenarioError(f"unknown protocol {protocol!r}")
     points = [(i_c, omega_p) for omega_p in omega_p_grid for i_c in i_c_grid]
     etas = _pool_map(
         _map_point,
@@ -710,7 +804,9 @@ def scenario_parameters(scenario: str) -> dict[str, object]:
 
 
 def check_overrides(overrides: dict, jobs: int | None = None) -> None:
-    """Refuse a dt_divisor below MIN_DT_DIVISOR or a jobs count below 1."""
+    """Refuse the run settings every scenario shares: a dt_divisor below
+    MIN_DT_DIVISOR, and a jobs count (``jobs`` or the ``jobs`` override)
+    below 1."""
     divisor = overrides.get("dt_divisor", MIN_DT_DIVISOR)
     if divisor < MIN_DT_DIVISOR:
         raise ScenarioError(f"dt_divisor must be >= {MIN_DT_DIVISOR}, got {divisor!r}")
@@ -719,11 +815,23 @@ def check_overrides(overrides: dict, jobs: int | None = None) -> None:
             raise ScenarioError(f"jobs must be >= 1, got {count!r}")
 
 
+def check_scenario(scenario: str, overrides: dict) -> None:
+    """Refuse, without running anything, every input that
+    ``run_scenario(scenario, overrides)`` refuses before it integrates or
+    forks, with the same exception and message."""
+    check_overrides(overrides)
+    check = getattr(SCENARIOS[scenario], "check", None)
+    if check is not None:  # table1 takes only the run settings
+        check(**overrides)
+
+
 def run_scenario(
     scenario: str, overrides: dict, jobs: int | None = None
 ) -> ScenarioReport:
-    """Call the scenario's runner with ``overrides`` as keyword arguments,
-    once ``check_overrides`` passes; ``jobs`` reaches the runners that take it."""
+    """Call the scenario's runner with ``overrides`` as keyword arguments;
+    ``jobs`` reaches the runners that take it.  ``check_overrides`` refuses
+    the run settings before the runner is called, and the runner refuses
+    the rest of its input itself before it integrates."""
     if scenario not in SCENARIOS:
         raise ScenarioError(
             f"unknown scenario {scenario!r}; valid ids: " + ", ".join(SCENARIO_IDS)

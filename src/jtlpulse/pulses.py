@@ -182,19 +182,19 @@ def single_fluxon_width(derived: DerivedParams, v_tilde: float) -> float:
     )
 
 
-def schedule_spacing(derived: DerivedParams, half_period_multiple: int = 1) -> float:
+def schedule_spacing(derived: DerivedParams, spacing_multiple: int = 1) -> float:
     """Center-to-center pulse spacing: an odd multiple of pi/omega_p.
 
     Polarity alternates pulse to pulse, so only odd half-period multiples
     keep the train phase-coherent with the junction oscillation.
     """
-    if half_period_multiple < 1 or half_period_multiple % 2 == 0:
+    if spacing_multiple < 1 or spacing_multiple % 2 == 0:
         raise ValueError(
-            "half_period_multiple must be an odd positive integer: an even "
+            "spacing_multiple must be an odd positive integer: an even "
             "multiple would put successive opposite-polarity pulses in phase "
             "opposition with the plasma oscillation they drive"
         )
-    return half_period_multiple * math.pi / derived.omega_p
+    return spacing_multiple * math.pi / derived.omega_p
 
 
 def compile_envelope(

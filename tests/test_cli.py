@@ -221,15 +221,63 @@ class TestRun:
         ("bandwidth_sweep", "sigma = 1.5", "sigma applies to the gaussian shape only"),
         ("efficiency_map", "jobs = 0", "jobs must be >= 1, got 0"),
         ("table1", "jobs = -3", "jobs must be >= 1, got -3"),
+        ("efficiency_map", "i_c_grid =", "efficiency map grids must be non-empty"),
+        ("flat_top", "spacing_multiple = 2",
+         "spacing_multiple must be an odd positive integer"),
+        ("flat_top", "n_pairs = 0", "n_pairs must be >= 1, got 0"),
+        ("flat_top", "drive_model = bogus", "unknown drive_model 'bogus'"),
+        ("flat_top", "alpha_in = -1",
+         "alpha_in must be finite and positive, got -1.0"),
+        ("flat_top", "n_jtl = 1", "n_jtl must be an integer >= 2, got 1"),
+        ("flat_top", "shape = square", "unknown train shape 'square'"),
+        ("gaussian", "sigma = -1", "sigma must be finite and positive, got -1.0"),
+        ("efficiency_map", "protocol = bogus", "unknown protocol 'bogus'"),
+        ("efficiency_map", "alpha_in = -1",
+         "alpha_in must be finite and positive, got -1.0"),
+        ("efficiency_map", "damping_quality = -1",
+         "damping_quality must be strictly positive, got -1.0"),
+        ("single_fluxon", "v_tilde = 1.5", "v_tilde must lie in (0, 1), got 1.5"),
+        ("single_fluxon", "damping_quality = 0",
+         "damping_quality must be strictly positive, got 0.0"),
+        ("flat_top", "i_c = inf", "i_c must be finite and positive, got inf"),
+        ("flat_top", "alpha_out = inf",
+         "alpha_out must be finite and positive, got inf"),
+        ("bandwidth_sweep", "f_plasma = 0",
+         "f_plasma must be finite and positive, got 0.0"),
     ])
     def test_bad_scenario_input_is_a_config_error(
-        self, tmp_path, capsys, scenario, line, named
+        self, tmp_path, capsys, monkeypatch, scenario, line, named
     ):
+        # refused before anything is integrated, and validate refuses it
+        # with the same message
+        monkeypatch.setattr(experiments, "simulate", _no_integration)
         out = tmp_path / "out"
         config = _write(tmp_path, f"[scenario]\nid = {scenario}\n{line}\n")
         assert main(["run", "--config", config, "--out", str(out)]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err
         assert not out.exists()
+        assert main(["validate", "--config", config]) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("line, message", [
+        ("alpha_in = -1", "alpha_in must be finite and positive, got -1.0"),
+        ("damping_quality = -1",
+         "damping_quality must be strictly positive, got -1.0"),
+    ])
+    def test_bad_map_point_is_refused_before_forking(
+        self, tmp_path, capsys, monkeypatch, line, message
+    ):
+        def no_fork():
+            raise OSError("forked before the grid was checked")
+
+        monkeypatch.setattr(experiments.os, "fork", no_fork)
+        config = _write(tmp_path, "[scenario]\nid = efficiency_map\n"
+                        f"i_c_grid = 2e-6, 3e-6\nomega_p_grid = 1.1e11\n{line}\n")
+        code = main(["run", "--config", config, "--out", str(tmp_path / "o"),
+                     "--jobs", "2"])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize("scenario", experiments.SCENARIO_IDS)
@@ -293,6 +341,10 @@ def _write(tmp_path, text, name="c.ini"):
     return str(path)
 
 
+def _no_integration(*args, **kwargs):
+    raise AssertionError("a refused config reached the integrator")
+
+
 # Keys that would set nothing: once accepted and ignored, foreign to the
 # scenario, or setting a parameter twice.  Both run and validate must
 # refuse each one, naming the key.
@@ -333,13 +385,17 @@ class TestKeyResolution:
         assert repr(key) in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,message", PRE_RUN_REFUSALS)
-    def test_validate_refuses_what_run_refuses(self, tmp_path, capsys, text, message):
+    def test_validate_refuses_what_run_refuses(
+        self, tmp_path, capsys, monkeypatch, text, message
+    ):
+        monkeypatch.setattr(experiments, "simulate", _no_integration)
         path = _write(tmp_path, text)
         assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
         assert not (tmp_path / "o").exists()
         assert main(["validate", "--config", path]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == err
 
     def test_scenario_flag_retypes_keys(self, tmp_path):
         path = _write(tmp_path, "[scenario]\nid = single_fluxon\nalpha_out = 0.2\n")
