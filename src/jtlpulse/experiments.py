@@ -311,7 +311,7 @@ def run_fluxoid_train(
     alpha_out: float = 0.25,
     r_n: float = DEFAULT_R_N,
     width: float | None = None,
-    spacing_multiple: int = 1,
+    spacing_multiple: float = 1,
     drive_model: str = "source",
     n_jtl: int | None = None,
     l: float | None = None,

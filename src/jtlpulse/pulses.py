@@ -2,9 +2,9 @@
 
 A single flux quantum is carried by a hyperbolic-secant voltage pulse whose
 time integral equals PHI0; fluxoids carry a different (smaller or larger)
-integral.  Trains alternate polarity at an odd multiple of the half plasma
-period so that successive pulses stay phase-coherent with the junction
-oscillation they pump.
+integral.  Successive pulses of a train alternate in polarity and are spaced
+m pi/omega_p apart, for any positive ``spacing_multiple`` m, so the drive's
+fundamental lies at f_p/m.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import PHI0, DerivedParams
+from .circuit import PHI0, DerivedParams, require_positive
 
 # arcsech(1/2) = ln(2 + sqrt(3)); half-maximum point of sech.
 _ARCSECH_HALF = math.log(2.0 + math.sqrt(3.0))
@@ -36,10 +36,7 @@ class Pulse:
     width: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.width < math.inf:
-            raise ValueError(
-                f"pulse width must be finite and positive, got {self.width!r}"
-            )
+        require_positive("pulse width", self.width)
 
     @property
     def peak(self) -> float:
@@ -126,6 +123,8 @@ class PhaseEnvelope:
     theta: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not self.theta:
+            raise ValueError("envelope must contain at least one half-cycle")
         for th in self.theta:
             if not 0.0 <= th < math.inf:
                 raise ValueError(
@@ -134,8 +133,6 @@ class PhaseEnvelope:
 
     @classmethod
     def flat_top(cls, n_half_cycles: int, theta: float = math.pi) -> "PhaseEnvelope":
-        if n_half_cycles < 1:
-            raise ValueError("n_half_cycles must be >= 1")
         return cls(theta=(theta,) * n_half_cycles)
 
     @classmethod
@@ -152,8 +149,7 @@ class PhaseEnvelope:
         m = n_half_cycles
         if sigma is None:
             sigma = m / 6.0
-        if not 0.0 < sigma < math.inf:
-            raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
+        require_positive("sigma", sigma)
         center = (m + 1) / 2.0
         theta = tuple(
             peak * math.exp(-((k - center) ** 2) / (2.0 * sigma**2))
@@ -182,18 +178,14 @@ def single_fluxon_width(derived: DerivedParams, v_tilde: float) -> float:
     )
 
 
-def schedule_spacing(derived: DerivedParams, spacing_multiple: int = 1) -> float:
-    """Center-to-center pulse spacing: an odd multiple of pi/omega_p.
+def schedule_spacing(derived: DerivedParams, spacing_multiple: float = 1) -> float:
+    """Center-to-center pulse spacing m pi/omega_p for ``spacing_multiple`` m
+    (finite and positive).
 
-    Polarity alternates pulse to pulse, so only odd half-period multiples
-    keep the train phase-coherent with the junction oscillation.
+    Polarity alternates pulse to pulse, so one drive period spans two
+    spacings and the drive's fundamental lies at f_p/m.
     """
-    if spacing_multiple < 1 or spacing_multiple % 2 == 0:
-        raise ValueError(
-            "spacing_multiple must be an odd positive integer: an even "
-            "multiple would put successive opposite-polarity pulses in phase "
-            "opposition with the plasma oscillation they drive"
-        )
+    require_positive("spacing_multiple", spacing_multiple)
     return spacing_multiple * math.pi / derived.omega_p
 
 
@@ -211,8 +203,6 @@ def compile_envelope(
     equilibrium phase returns to zero after the train.
     """
     m = len(envelope.theta)
-    if m == 0:
-        raise ValueError("envelope must contain at least one half-cycle")
     signed = [0.0]
     signed += [
         (-1.0) ** (k + 1) * th for k, th in enumerate(envelope.theta, start=1)

@@ -222,8 +222,8 @@ class TestRun:
         ("efficiency_map", "jobs = 0", "jobs must be >= 1, got 0"),
         ("table1", "jobs = -3", "jobs must be >= 1, got -3"),
         ("efficiency_map", "i_c_grid =", "efficiency map grids must be non-empty"),
-        ("flat_top", "spacing_multiple = 2",
-         "spacing_multiple must be an odd positive integer"),
+        ("flat_top", "spacing_multiple = 0",
+         "spacing_multiple must be finite and positive, got 0.0"),
         ("flat_top", "n_pairs = 0", "n_pairs must be >= 1, got 0"),
         ("flat_top", "drive_model = bogus", "unknown drive_model 'bogus'"),
         ("flat_top", "alpha_in = -1",
@@ -468,7 +468,7 @@ dt_divisor = 150
 _TRAIN_KWARGS = {
     "i_c": 5e-06, "omega_p": 1.2e11, "n_pairs": 7, "alpha_in": 6.0,
     "alpha_out": 0.3, "r_n": 20.0, "theta_peak": 2.5, "width": 2e-12,
-    "spacing_multiple": 3, "lambda_j": 2.8, "n_jtl": 6, "drive_model": "incident",
+    "spacing_multiple": 3.0, "lambda_j": 2.8, "n_jtl": 6, "drive_model": "incident",
     "shape": "flat_top", "sigma": 1.5, "dt_divisor": 250,
 }
 GOLDEN = {
@@ -499,7 +499,7 @@ dt_divisor = 150
 """,
         {"n_pairs_list": [5.0, 10.0], "i_c": 4e-06, "f_plasma": 16e9,
          "lambda_j": 3.0, "alpha_in": 6.0, "alpha_out": 0.3, "r_n": 20.0,
-         "width": 2e-12, "spacing_multiple": 3, "theta_peak": 3.5, "sigma": 1.5,
+         "width": 2e-12, "spacing_multiple": 3.0, "theta_peak": 3.5, "sigma": 1.5,
          "dt_divisor": 250},
     ),
     "efficiency_map": (

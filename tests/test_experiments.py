@@ -138,6 +138,33 @@ class TestTrainScenarios:
         )
 
 
+class TestSpacingMultiple:
+    # (f0, fwhm, eta, band power) of run_flat_top(n_pairs=6,
+    # spacing_multiple=m), recorded when only odd integers were accepted
+    GOLDEN = {
+        1: (19495155279.5031, 3125175401.951565, 0.012322465853003207,
+            -75.58158332670124),
+        3: (6539000000.0, 1049986105.1326876, 0.014998649293527113,
+            -80.98534436936886),
+    }
+
+    @pytest.mark.parametrize("m", [1, 3, 1.0, 3.0])
+    def test_integer_multiples_are_bit_identical(self, m):
+        solver.forget_last_run()
+        run = run_flat_top(n_pairs=6, spacing_multiple=m)
+        observed = (run.f0, run.fwhm, run.eta, run.power.band_power_dbm)
+        assert observed == self.GOLDEN[int(m)]
+
+    @pytest.mark.parametrize("m", [0.625, 0.9, 1.1, 1.6, 2.0])
+    @pytest.mark.parametrize("runner", [run_flat_top, run_gaussian])
+    def test_tone_is_the_drive_rate(self, runner, m):
+        # alternating polarity at spacing m pi/omega_p: one drive period
+        # spans two pulses, so the fundamental is f_p/m
+        run = runner(spacing_multiple=m)
+        rate = run.config["omega_p"] / (2 * math.pi) / m
+        assert run.f0 == pytest.approx(rate, rel=2e-3)
+
+
 def _derived(lambda_j, f_p=15e9):
     return derive(solve_geometry(3e-6, lambda_j, 2 * math.pi * f_p, 5.0, 0.25, 5))
 

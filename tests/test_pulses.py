@@ -84,9 +84,15 @@ class TestScheduleSpacing:
         assert schedule_spacing(_derived(f_p=10e9), 1) == pytest.approx(50e-12)
         assert schedule_spacing(_derived(f_p=15e9), 3) == pytest.approx(100e-12)
 
-    def test_even_multiple_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            schedule_spacing(_derived(), 2)
+    def test_nonpositive_or_nonfinite_multiple_rejected(self):
+        for bad in (0, -1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="spacing_multiple"):
+                schedule_spacing(_derived(), bad)
+
+    def test_any_positive_multiple_accepted(self):
+        d = _derived()
+        for m in (2, 0.9):
+            assert schedule_spacing(d, m) == m * math.pi / d.omega_p
 
     def test_sequence_durations_match_captions(self):
         # 100 pulses at 10 GHz half-period spacing span ~5.0 ns (caption
