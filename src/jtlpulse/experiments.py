@@ -181,13 +181,32 @@ def _band_stride(derived: DerivedParams, dt: float, n_samples: int) -> int:
     return max(1, min(q, n_samples // 256))
 
 
+# A train run first integrates TAIL_PERIODS plasma periods past its drive,
+# and _simulate_settled doubles that tail up to MAX_EXTENSIONS times.
+TAIL_PERIODS = 30.0
+MAX_EXTENSIONS = 6
+# The longest record a scenario point may ask simulate for, in integrator
+# steps: phi and v of an n = 5 line take ~8 GB at this length.
+MAX_RECORD_STEPS = 10**8
+
+
+def _require_record(t_end: float, t_plasma: float, dt_divisor: int) -> None:
+    """Refuse a point whose longest horizon t_end, integrated at
+    t_plasma / dt_divisor a step, would exceed MAX_RECORD_STEPS."""
+    steps = t_end / t_plasma * dt_divisor
+    if steps > MAX_RECORD_STEPS:
+        raise ScenarioError(
+            f"the run's record could reach {steps:.3g} integrator steps, "
+            f"above the limit of {MAX_RECORD_STEPS:.0e}")
+
+
 def _simulate_settled(
     circuit: CircuitParams,
     train: PulseTrain,
     t_tail0: float,
     *,
     dt_divisor: int,
-    max_extensions: int = 6,
+    max_extensions: int = MAX_EXTENSIONS,
 ) -> tuple[Trajectory, float]:
     """Run until the stored energy residual is below 1e-3 of the injected
     forward energy, doubling the tail; returns (trajectory, e_in)."""
@@ -210,26 +229,18 @@ def _simulate_settled(
     return traj, e_in
 
 
-def _measure_train_run(
-    traj: Trajectory, e_in: float, seq_duration: float
-) -> tuple[SpectrumResult, PowerReport]:
-    """Spectrum and power bookkeeping for a pulse-train run injecting e_in;
-    the one spectrum is taken at the signal band (``_band_stride``)."""
+def _settle_train(
+    circuit: CircuitParams, derived: DerivedParams, width: float,
+    spacing: float, envelope: PhaseEnvelope, dt_divisor: int,
+) -> tuple[Trajectory, float]:
+    """Compile a checked train (``_check_train``'s return) and run it until
+    it has settled; returns (trajectory, injected forward energy e_in > 0)."""
+    train = compile_envelope(envelope, spacing, width, t_start=5.0 * width)
+    t_tail0 = TAIL_PERIODS * 2.0 * math.pi / derived.omega_p
+    traj, e_in = _simulate_settled(circuit, train, t_tail0, dt_divisor=dt_divisor)
     if e_in <= 0.0:
         raise AnalysisError("zero input energy; efficiency undefined")
-    c = traj.circuit
-    q = _band_stride(traj.derived, traj.dt, traj.times.size)
-    spectrum = psd(traj.v_nodeN[::q] / math.sqrt(c.z_out), traj.dt * q)
-    e_out = forward_energy(traj.v_nodeN, traj.i_out, c.z_out, traj.times)
-    report = PowerReport(
-        e_in_fwd=e_in,
-        e_out_fwd=e_out,
-        eta=e_out / e_in,
-        avg_input_power=e_in / seq_duration,
-        band_power_dbm=None if spectrum.fwhm is None
-        else _band_dbm(spectrum.band_energy, seq_duration),
-    )
-    return spectrum, report
+    return traj, e_in
 
 
 _signature = functools.cache(inspect.signature)
@@ -288,6 +299,10 @@ def _check_train(
     sech_pulse(PHI0, width)  # refuses a width no drive pulse can have
     spacing = schedule_spacing(derived, t["spacing_multiple"])
     m = 2 * t["n_pairs"] - 1
+    # the train lasts m spacings plus 5 widths each side, then the tail
+    t_plasma = 2.0 * math.pi / derived.omega_p
+    t_tail = 2**MAX_EXTENSIONS * TAIL_PERIODS * t_plasma
+    _require_record(m * spacing + 10.0 * width + t_tail, t_plasma, t["dt_divisor"])
     # halving the phase halves every pulse area exactly, so the solver's
     # Thevenin doubling of a source-model train samples the source EMF
     theta = 0.5 * t["theta_peak"] if t["drive_model"] == "source" else t["theta_peak"]
@@ -318,7 +333,8 @@ def run_fluxoid_train(
     c_j: float | None = None,
     dt_divisor: int = DEFAULT_DT_DIVISOR,
 ) -> RunResult:
-    """One fluxoid-pair-train run: check, build, settle, measure.
+    """One fluxoid-pair-train run: check, build and settle, then measure
+    spectrum and power, the one spectrum at the signal band (``_band_stride``).
 
     ``n_pairs`` pulse pairs means 2 n_pairs alternating pulses compiled from
     2 n_pairs - 1 phase extrema, so the train is balanced.  The sech time
@@ -327,12 +343,19 @@ def run_fluxoid_train(
     30.71 ps at 3 uA, since the sech extent above a tenth of its peak spans
     ~2 pi time constants.
     """
-    circuit, derived, width, spacing, envelope = _check_train(locals())
-    train = compile_envelope(envelope, spacing, width, t_start=5.0 * width)
+    line = _check_train(locals())
+    circuit, derived, width, spacing, envelope = line
+    traj, e_in = _settle_train(*line, dt_divisor)
     seq_duration = (len(envelope.theta) + 1) * spacing
-    t_tail0 = 30.0 * 2.0 * math.pi / derived.omega_p
-    traj, e_in = _simulate_settled(circuit, train, t_tail0, dt_divisor=dt_divisor)
-    spectrum, power = _measure_train_run(traj, e_in, seq_duration)
+    q = _band_stride(traj.derived, traj.dt, traj.times.size)
+    spectrum = psd(traj.v_nodeN[::q] / math.sqrt(circuit.z_out), traj.dt * q)
+    e_out = forward_energy(traj.v_nodeN, traj.i_out, circuit.z_out, traj.times)
+    power = PowerReport(
+        e_in_fwd=e_in, e_out_fwd=e_out, eta=e_out / e_in,
+        avg_input_power=e_in / seq_duration,
+        band_power_dbm=None if spectrum.fwhm is None
+        else _band_dbm(spectrum.band_energy, seq_duration),
+    )
     config = {
         "shape": shape, "i_c": i_c, "omega_p": derived.omega_p,
         "lambda_j": derived.lambda_j, "n_pairs": n_pairs,
@@ -413,7 +436,10 @@ def _check_single_fluxon(a: dict) -> list[tuple[float, CircuitParams, float]]:
         circuit = solve_geometry(
             a["i_c"], a["lambda_j"], omega_p, a["alpha_in"], alpha, n_jtl, r_n
         )
-        width = single_fluxon_width(derive(circuit), a["v_tilde"])
+        derived = derive(circuit)
+        width = single_fluxon_width(derived, a["v_tilde"])
+        t_tail = a["n_tail_periods"] * 2.0 * math.pi / derived.omega_p
+        _require_record(11.0 * width + t_tail, 2.0 * math.pi / omega_p, a["dt_divisor"])
         lines.append((alpha, circuit, width))
     return lines
 
@@ -660,18 +686,19 @@ def _map_run(
             "drive_model": "incident", "dt_divisor": dt_divisor}
 
 
-def _map_point(
-    i_c: float, omega_p: float, protocol: str, alpha_in: float, quality: float,
-    dt_divisor: int,
-) -> float:
-    return SCENARIOS[protocol](
-        **_map_run(i_c, omega_p, alpha_in, quality, dt_divisor)
-    ).eta
+def _map_point(line: tuple, dt_divisor: int) -> float:
+    """eta = e_out / e_in of the map point whose checked train is ``line``,
+    by run_fluxoid_train's calls, so bit for bit its ``.eta``.  The map
+    keeps nothing else of a point, so it takes no spectrum."""
+    traj, e_in = _settle_train(*line, dt_divisor)
+    return forward_energy(traj.v_nodeN, traj.i_out, traj.circuit.z_out,
+                          traj.times) / e_in
 
 
-def _check_efficiency_map(a: dict) -> None:
+def _check_efficiency_map(a: dict) -> list[tuple]:
     """Refuse the arguments ``a`` of run_efficiency_map, each grid point's
-    runner call included, before any point is forked off."""
+    runner call included, before any point is forked off; returns each
+    point's ``_check_train`` result, omega_p the outer loop."""
     i_c_grid = [float(x) for x in a["i_c_grid"]]
     omega_p_grid = [float(x) for x in a["omega_p_grid"]]
     if not i_c_grid or not omega_p_grid:
@@ -684,11 +711,12 @@ def _check_efficiency_map(a: dict) -> None:
         for value in grid:
             require_positive(name, value)
     require_positive("damping_quality", a["damping_quality"], finite=False)
-    check = SCENARIOS[a["protocol"]].check
-    for omega_p in omega_p_grid:
-        for i_c in i_c_grid:
-            check(**_map_run(i_c, omega_p, a["alpha_in"], a["damping_quality"],
-                             a["dt_divisor"]))
+    runner = SCENARIOS[a["protocol"]]
+    return [
+        _check_train(_arguments(runner, **_map_run(
+            i_c, omega_p, a["alpha_in"], a["damping_quality"], a["dt_divisor"])))
+        for omega_p in omega_p_grid for i_c in i_c_grid
+    ]
 
 
 @_checked_by(_check_efficiency_map)
@@ -705,16 +733,11 @@ def run_efficiency_map(
     dt_divisor: int = DEFAULT_DT_DIVISOR,
 ) -> ScenarioReport:
     """Energy-efficiency matrix over (i_c, omega_p) for one protocol."""
-    _check_efficiency_map(locals())
+    lines = _check_efficiency_map(locals())
     i_c_grid = [float(x) for x in i_c_grid]
     omega_p_grid = [float(x) for x in omega_p_grid]
     points = [(i_c, omega_p) for omega_p in omega_p_grid for i_c in i_c_grid]
-    etas = _pool_map(
-        _map_point,
-        [(i_c, omega_p, protocol, alpha_in, damping_quality, dt_divisor)
-         for i_c, omega_p in points],
-        jobs,
-    )
+    etas = _pool_map(_map_point, [(line, dt_divisor) for line in lines], jobs)
     runs = []
     for (i_c, omega_p), value in zip(points, etas):
         config = {

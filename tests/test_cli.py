@@ -156,8 +156,8 @@ class TestRun:
     @pytest.mark.parametrize("killed", [False, True])
     def test_pooled_run_leaves_no_process(self, tmp_path, capsys, monkeypatch, killed):
         # a worker killed by a signal is a runtime error, exit code 3
-        def point(i_c, *args):
-            if i_c == 3e-6:
+        def point(line, *args):
+            if line[0].i_c == 3e-6:
                 os.kill(os.getpid(), signal.SIGKILL)
             return 0.5
 
@@ -244,6 +244,18 @@ class TestRun:
          "alpha_out must be finite and positive, got inf"),
         ("bandwidth_sweep", "f_plasma = 0",
          "f_plasma must be finite and positive, got 0.0"),
+        # ~1e10 steps (~800 GB of trajectory) and a 2e9-extremum envelope
+        ("flat_top", "spacing_multiple = 1e6",
+         "the run's record could reach 9.9e+09 integrator steps, "
+         "above the limit of 1e+08"),
+        ("flat_top", "n_pairs = 1000000000",
+         "the run's record could reach 2e+11 integrator steps"),
+        ("bandwidth_sweep", "n_pairs_list = 50, 1000000000",
+         "the run's record could reach 2e+11 integrator steps"),
+        ("efficiency_map", "dt_divisor = 100000000",
+         "integrator steps, above the limit of 1e+08"),
+        ("single_fluxon", "n_tail_periods = 1e9",
+         "the run's record could reach 2e+11 integrator steps"),
     ])
     def test_bad_scenario_input_is_a_config_error(
         self, tmp_path, capsys, monkeypatch, scenario, line, named

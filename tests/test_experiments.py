@@ -286,8 +286,6 @@ class TestOneTransform:
             TABLE1_FLAT_TOP[0], "flat_top", DEFAULT_DT_DIVISOR), id="table1_flat_top"),
         pytest.param(lambda: experiments._table1_row(
             TABLE1_GAUSSIAN[0], "gaussian", DEFAULT_DT_DIVISOR), id="table1_gaussian"),
-        pytest.param(lambda: run_efficiency_map(
-            [3e-6], [2 * math.pi * 26e9], "gaussian", jobs=1), id="efficiency_map"),
         pytest.param(lambda: run_single_fluxon(0.25), id="single_fluxon"),
     ])
     def test_one_esd_per_point(self, esd_calls, point):
@@ -364,6 +362,52 @@ class TestEfficiencyMap:
             run_efficiency_map([], [1.0], "flat_top")
         with pytest.raises(ScenarioError):
             run_efficiency_map([1e-6], [1.0], "bogus")
+
+    @staticmethod
+    def _map_call(i_c, f_p):
+        return experiments._map_run(
+            i_c, 2 * math.pi * f_p, experiments.MAP_ALPHA_IN,
+            experiments.MAP_DAMPING_QUALITY, DEFAULT_DT_DIVISOR,
+        )
+
+    @pytest.mark.parametrize("protocol", ["flat_top", "gaussian"])
+    @pytest.mark.parametrize("i_c, f_p", [(2e-6, 22e9), (3e-6, 30e9)])
+    def test_map_point_eta_is_the_runners(self, protocol, i_c, f_p):
+        runner = experiments.SCENARIOS[protocol]
+        kwargs = self._map_call(i_c, f_p)
+        eta = experiments._map_point(runner.check(**kwargs), DEFAULT_DT_DIVISOR)
+        solver.forget_last_run()
+        assert eta == runner(**kwargs).eta
+
+    def test_map_point_carries_a_spacing_multiple(self):
+        kwargs = {**self._map_call(3e-6, 26e9), "spacing_multiple": 0.9}
+        line = run_flat_top.check(**kwargs)
+        assert line[3] == schedule_spacing(line[1], 0.9)
+        eta = experiments._map_point(line, DEFAULT_DT_DIVISOR)
+        solver.forget_last_run()
+        assert eta == run_flat_top(**kwargs).eta
+        default = run_flat_top.check(**self._map_call(3e-6, 26e9))
+        assert eta != experiments._map_point(default, DEFAULT_DT_DIVISOR)
+
+    def test_map_checks_each_point_once_and_builds_no_spectrum(self, monkeypatch):
+        calls = {"psd": 0, "esd": 0, "_check_train": 0}
+
+        def counting(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(experiments, "psd")
+        counting(analysis, "esd")
+        counting(experiments, "_check_train")
+        grid = ([2e-6, 3e-6], [2 * math.pi * f for f in (22e9, 26e9)])
+        report = run_efficiency_map(*grid, "gaussian", jobs=1)
+        assert len(report.runs) == 4
+        assert calls == {"psd": 0, "esd": 0, "_check_train": 4}
 
     def test_parallel_reduction_is_deterministic(self):
         # two jobs split the nine points 5/4; three split them 3/3/3, two
@@ -580,3 +624,51 @@ class TestSettle:
             experiments._simulate_settled(
                 circuit, train, t_tail0, dt_divisor=200, max_extensions=0
             )
+
+
+class TestRecordBound:
+    """The record bound counts the steps of the longest horizon a point can
+    reach: a train's last settle extension, a single fluxon's whole run."""
+
+    @pytest.fixture
+    def estimates(self, monkeypatch):
+        estimates = []
+        require = experiments._require_record
+
+        def recording(t_end, t_plasma, dt_divisor):
+            estimates.append(t_end / t_plasma * dt_divisor)
+            return require(t_end, t_plasma, dt_divisor)
+
+        monkeypatch.setattr(experiments, "_require_record", recording)
+        return estimates
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        steps = []
+        simulate = experiments.simulate
+
+        def recording(circuit, drive, t_end, dt):
+            steps.append(t_end / dt)
+            return simulate(circuit, drive, t_end, dt)
+
+        monkeypatch.setattr(experiments, "simulate", recording)
+        return steps
+
+    def test_train_bound_is_the_last_extension(self, monkeypatch, estimates, steps):
+        # a line that never settles spends every extension
+        monkeypatch.setattr(solver.Trajectory, "final_stored_energy",
+                            lambda self: math.inf)
+        with pytest.warns(UserWarning, match="stored energy residual"):
+            run_flat_top(n_pairs=2)
+        assert len(steps) == experiments.MAX_EXTENSIONS + 1
+        assert estimates == [pytest.approx(steps[-1], rel=1e-12)]
+
+    def test_single_fluxon_bound_is_its_run(self, estimates, steps):
+        run_single_fluxon([0.2, 0.3], n_tail_periods=5)
+        assert estimates == pytest.approx(steps, rel=1e-12)
+
+    def test_bound_refuses_above_the_limit(self, monkeypatch, estimates):
+        run_flat_top.check(n_pairs=2)
+        monkeypatch.setattr(experiments, "MAX_RECORD_STEPS", estimates[0] * 0.999)
+        with pytest.raises(ScenarioError, match="above the limit"):
+            run_flat_top.check(n_pairs=2)
