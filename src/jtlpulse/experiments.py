@@ -190,14 +190,16 @@ MAX_EXTENSIONS = 6
 MAX_RECORD_STEPS = 10**8
 
 
-def _require_record(t_end: float, t_plasma: float, dt_divisor: int) -> None:
+def _require_record(t_end: float, t_plasma: float, dt_divisor: int) -> float:
     """Refuse a point whose longest horizon t_end, integrated at
-    t_plasma / dt_divisor a step, would exceed MAX_RECORD_STEPS."""
+    t_plasma / dt_divisor a step, would exceed MAX_RECORD_STEPS; returns
+    the horizon's step count."""
     steps = t_end / t_plasma * dt_divisor
     if steps > MAX_RECORD_STEPS:
         raise ScenarioError(
             f"the run's record could reach {steps:.3g} integrator steps, "
             f"above the limit of {MAX_RECORD_STEPS:.0e}")
+    return steps
 
 
 def _simulate_settled(
@@ -269,6 +271,13 @@ def _checked_by(check):
     return register
 
 
+def _train_arguments(a: dict) -> dict:
+    """run_fluxoid_train's arguments by name for the arguments ``a`` of a
+    train runner, the ``kwargs`` it hands on included."""
+    own = {k: v for k, v in a.items() if k != "kwargs"}
+    return _arguments(run_fluxoid_train, **own, **a.get("kwargs", {}))
+
+
 def _check_train(
     a: dict,
 ) -> tuple[CircuitParams, DerivedParams, float, float, PhaseEnvelope]:
@@ -276,8 +285,7 @@ def _check_train(
     run_flat_top and run_gaussian hand on to run_fluxoid_train included;
     returns the line, its derived scales, the drive pulse width, the pulse
     spacing and the phase envelope the run is built from."""
-    own = {k: v for k, v in a.items() if k != "kwargs"}
-    t = _arguments(run_fluxoid_train, **own, **a.get("kwargs", {}))
+    t = _train_arguments(a)
     if t["n_pairs"] < 1:
         raise ScenarioError(f"n_pairs must be >= 1, got {t['n_pairs']}")
     if t["drive_model"] not in ("source", "incident"):
@@ -298,11 +306,25 @@ def _check_train(
     width = derived.l_j / R_SFQ if t["width"] is None else t["width"]
     sech_pulse(PHI0, width)  # refuses a width no drive pulse can have
     spacing = schedule_spacing(derived, t["spacing_multiple"])
-    m = 2 * t["n_pairs"] - 1
-    # the train lasts m spacings plus 5 widths each side, then the tail
+    pulses = 2 * t["n_pairs"]
     t_plasma = 2.0 * math.pi / derived.omega_p
+    # Python compares this integer count with a float exactly, so a count
+    # too large for a float is refused here, before the float arithmetic
+    # below; past this threshold one of the two bounds there fails anyway
+    spacing_steps = spacing / t_plasma * t["dt_divisor"]
+    if pulses > MAX_RECORD_STEPS * max(1.0, spacing_steps):
+        raise ScenarioError(
+            "n_pairs makes more pulses than a record of at most "
+            f"{MAX_RECORD_STEPS:.0e} integrator steps can hold")
+    # the train lasts pulses - 1 spacings plus 5 widths each side, then the tail
     t_tail = 2**MAX_EXTENSIONS * TAIL_PERIODS * t_plasma
-    _require_record(m * spacing + 10.0 * width + t_tail, t_plasma, t["dt_divisor"])
+    steps = _require_record((pulses - 1) * spacing + 10.0 * width + t_tail,
+                            t_plasma, t["dt_divisor"])
+    if pulses > steps:
+        raise ScenarioError(
+            f"the train's {pulses} pulses outnumber the {steps:.3g} integrator "
+            "steps of its record")
+    m = pulses - 1
     # halving the phase halves every pulse area exactly, so the solver's
     # Thevenin doubling of a source-model train samples the source EMF
     theta = 0.5 * t["theta_peak"] if t["drive_model"] == "source" else t["theta_peak"]
@@ -344,8 +366,15 @@ def run_fluxoid_train(
     ~2 pi time constants.
     """
     line = _check_train(locals())
+    return _measure_train(locals(), line)
+
+
+def _measure_train(t: dict, line: tuple) -> RunResult:
+    """Settle the checked train ``line`` (``_check_train``'s return) and
+    measure spectrum and power; ``t`` holds run_fluxoid_train's arguments
+    by name, which the run's config echoes."""
     circuit, derived, width, spacing, envelope = line
-    traj, e_in = _settle_train(*line, dt_divisor)
+    traj, e_in = _settle_train(*line, t["dt_divisor"])
     seq_duration = (len(envelope.theta) + 1) * spacing
     q = _band_stride(traj.derived, traj.dt, traj.times.size)
     spectrum = psd(traj.v_nodeN[::q] / math.sqrt(circuit.z_out), traj.dt * q)
@@ -357,13 +386,14 @@ def run_fluxoid_train(
         else _band_dbm(spectrum.band_energy, seq_duration),
     )
     config = {
-        "shape": shape, "i_c": i_c, "omega_p": derived.omega_p,
-        "lambda_j": derived.lambda_j, "n_pairs": n_pairs,
-        "theta_peak": theta_peak, "sigma": sigma, "alpha_in": alpha_in,
-        "alpha_out": alpha_out, "r_n": circuit.r_n, "l": circuit.l,
-        "c_j": circuit.c_j, "n_jtl": circuit.n_jtl, "width": width,
-        "spacing": spacing, "spacing_multiple": spacing_multiple,
-        "drive_model": drive_model, "dt_divisor": dt_divisor,
+        "shape": t["shape"], "i_c": t["i_c"], "omega_p": derived.omega_p,
+        "lambda_j": derived.lambda_j, "n_pairs": t["n_pairs"],
+        "theta_peak": t["theta_peak"], "sigma": t["sigma"],
+        "alpha_in": t["alpha_in"], "alpha_out": t["alpha_out"],
+        "r_n": circuit.r_n, "l": circuit.l, "c_j": circuit.c_j,
+        "n_jtl": circuit.n_jtl, "width": width, "spacing": spacing,
+        "spacing_multiple": t["spacing_multiple"],
+        "drive_model": t["drive_model"], "dt_divisor": t["dt_divisor"],
         "seq_duration": seq_duration,
     }
     return RunResult(
@@ -523,9 +553,10 @@ def _classify_regime(
     return "fluxon_reflection"
 
 
-def _check_bandwidth_sweep(a: dict) -> None:
+def _check_bandwidth_sweep(a: dict) -> list[tuple[dict, tuple]]:
     """Refuse the arguments ``a`` of run_bandwidth_sweep, each point's
-    run_flat_top call included."""
+    run_flat_top call included; returns each point's run_fluxoid_train
+    arguments and ``_check_train`` result, in sweep order."""
     for n in a["n_pairs_list"]:
         if not float(n).is_integer():
             raise ScenarioError(f"n_pairs_list value {n!r} is not a whole number")
@@ -534,9 +565,13 @@ def _check_bandwidth_sweep(a: dict) -> None:
         raise ScenarioError("n_pairs_list must be non-empty and ascending")
     require_positive("f_plasma", a["f_plasma"])
     omega_p = 2.0 * math.pi * a["f_plasma"]
+    points = []
     for n_pairs in n_list:
-        run_flat_top.check(a["i_c"], omega_p, n_pairs, lambda_j=a["lambda_j"],
-                           **a["kwargs"])
+        t = _train_arguments(_arguments(
+            run_flat_top, a["i_c"], omega_p, n_pairs, lambda_j=a["lambda_j"],
+            **a["kwargs"]))
+        points.append((t, _check_train(t)))
+    return points
 
 
 @_checked_by(_check_bandwidth_sweep)
@@ -548,16 +583,12 @@ def run_bandwidth_sweep(
     lambda_j: float = 3.17,
     **kwargs,
 ) -> ScenarioReport:
-    """Flat-top FWHM vs pulse-pair count at the fixed 15 GHz circuit."""
-    _check_bandwidth_sweep(locals())
-    n_list = [int(n) for n in n_pairs_list]
-    omega_p = 2.0 * math.pi * f_plasma
-    runs = [
-        replace(run_flat_top(i_c, omega_p, n_pairs, lambda_j=lambda_j, **kwargs),
-                spectrum=None)
-        for n_pairs in n_list
-    ]
-    provenance = {"scenario": "bandwidth_sweep", "n_pairs_list": n_list,
+    """Flat-top FWHM vs pulse-pair count at the fixed 15 GHz circuit, each
+    point the run_flat_top run of its pair count."""
+    points = _check_bandwidth_sweep(locals())
+    runs = [replace(_measure_train(t, line), spectrum=None) for t, line in points]
+    provenance = {"scenario": "bandwidth_sweep",
+                  "n_pairs_list": [t["n_pairs"] for t, _ in points],
                   "config": runs[0].config}
     return ScenarioReport(scenario="bandwidth_sweep", runs=tuple(runs),
                           provenance=provenance)

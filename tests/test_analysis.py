@@ -1,12 +1,16 @@
 """Spectra, power waves, band power, ring-down fits, audits."""
 
+import importlib.util
+import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from jtlpulse import analysis, experiments
+from jtlpulse import analysis, cli, experiments
 from jtlpulse.analysis import (
     AnalysisError,
     InsufficientDataError,
@@ -66,11 +70,14 @@ class TestPsd:
         assert sp.band_energy is None
 
     def test_band_energy_is_the_band_integral_of_the_esd(self):
+        # the trapezoid over exactly f0 +- fwhm/2: the bins inside the band
+        # and the ESD at both edges, interpolated between its neighbours
         t, x = _tone(f0=20e9, fs=400e9, n=4000)
         sp = psd(x, 1.0 / 400e9)
         freqs, density = esd(x, 1.0 / 400e9, pad_factor=8)
-        band = (freqs >= sp.f0 - sp.fwhm / 2.0) & (freqs <= sp.f0 + sp.fwhm / 2.0)
-        assert sp.band_energy == np.trapezoid(density[band], freqs[band])
+        lo, hi = sp.f0 - sp.fwhm / 2.0, sp.f0 + sp.fwhm / 2.0
+        band = np.concatenate(([lo], freqs[(freqs >= lo) & (freqs <= hi)], [hi]))
+        assert sp.band_energy == np.trapezoid(np.interp(band, freqs, density), band)
         # most of the tone's energy sum(x^2) dt lies within its half-power band
         assert 0.5 < sp.band_energy / (np.sum(x**2) / 400e9) < 1.0
 
@@ -81,6 +88,74 @@ class TestPsd:
         sp = psd(x, 1.0 / 400e9, pad_factor=1)
         assert sp.fwhm == pytest.approx(400e9 / 4000)
         assert sp.band_energy is None
+
+
+class TestInterpolatedPeak:
+    @pytest.mark.parametrize("f", [15.1234567e9, 17.3456789e9, 21.4826e9])
+    def test_off_grid_tone(self, f):
+        # the log-spectrum of a Gaussian-enveloped tone is a parabola, and
+        # these tones lie 0.37-0.46 of a padded bin off the grid
+        fs, s = 400e9, 0.5e-9
+        t = np.arange(-4e-9, 4e-9, 1.0 / fs)
+        x = np.exp(-(t**2) / (2 * s**2)) * np.cos(2 * math.pi * f * t)
+        sp = psd(x, 1.0 / fs)
+        assert abs(sp.freqs[np.argmax(sp.psd)] - f) > 0.3 * sp.freqs[1]
+        assert sp.f0 == pytest.approx(f, rel=1e-6)
+        assert sp.fwhm == pytest.approx(math.sqrt(math.log(2)) / (math.pi * s),
+                                        rel=1e-5)
+
+
+def _load_workloads():
+    """The benchmark's workload table, bench/workloads.py (plain Python)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
+
+
+class TestFftLength:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 2_000_000))
+    def test_smallest_7_smooth_length(self, n):
+        assert analysis._fft_length(n) == _smooth_length(n)
+
+    @pytest.mark.parametrize("size, pad_factor, n_fft", [
+        (1715, 8, 13720),    # 8 N = 2^3 5 7^3 already 7-smooth
+        (4000, 8, 32000),
+        (4000, 1, 4000),
+        (2293, 8, 18375),    # 8 x a prime
+        (1861, 16, 30000),
+        (15150, 8, 121500),
+        (1579, 8, 12800),
+    ])
+    def test_esd_length(self, size, pad_factor, n_fft):
+        freqs, density = esd(np.ones(size), 1e-12, pad_factor=pad_factor)
+        assert freqs.size == density.size == n_fft // 2 + 1
+        assert freqs[1] == pytest.approx(1.0 / (n_fft * 1e-12), rel=1e-12)
+
+    def test_workload_transforms_are_7_smooth(self, monkeypatch, tmp_path):
+        lengths = []
+        rfft = np.fft.rfft
+
+        def spy(x, n=None, *args, **kwargs):
+            lengths.append((len(x), n))
+            return rfft(x, n, *args, **kwargs)
+
+        monkeypatch.setattr(analysis.np.fft, "rfft", spy)
+        for name, workload in _load_workloads().items():
+            config = tmp_path / f"{name}.ini"
+            config.write_text(workload.ini)
+            assert cli.main(["run", "--config", str(config), "--out",
+                             str(tmp_path / name), "--jobs", "1"]) == 0
+        # table1, the sweep and single_fluxon take one transform a point
+        assert len(lengths) == 8 + 4 + 5
+        for size, n_fft in lengths:
+            assert n_fft == _smooth_length(8 * size)
 
 
 class TestPowerWaves:
@@ -166,9 +241,21 @@ class TestForwardEnergy:
         assert str(raised.value) == str(expected.value)
 
 
+def _smooth_length(n):
+    """The first length from n on without a prime factor above 7, by trial."""
+    for m in itertools.count(n):
+        rest = m
+        for p in (2, 3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+
+
 def _esd_out_of_place(x, dt, pad_factor):
-    """The reference ``esd``: the density built out of place."""
-    n_fft = pad_factor * x.size
+    """The reference ``esd``: the density built out of place, on the first
+    7-smooth length from ``pad_factor`` times the record on."""
+    n_fft = _smooth_length(pad_factor * x.size)
     density = np.abs(np.fft.rfft(x, n=n_fft)) ** 2 * dt**2
     density[1:] *= 2.0
     if n_fft % 2 == 0:
@@ -177,13 +264,20 @@ def _esd_out_of_place(x, dt, pad_factor):
 
 
 def _band_power_two_fft(a_out, dt, f0, fwhm, duration, pad_factor=8):
-    """The reference band power: a transform of its own, the band picked
-    by a boolean mask."""
+    """The reference band power: a transform of its own, the bins inside
+    the band (clipped to the spectrum) picked by a boolean mask, and the
+    two band edges added with their interpolated densities."""
     freqs, density = _esd_out_of_place(np.asarray(a_out, dtype=float), dt, pad_factor)
-    mask = (freqs >= f0 - fwhm / 2.0) & (freqs <= f0 + fwhm / 2.0)
+    lo = min(max(f0 - fwhm / 2.0, freqs[0]), freqs[-1])
+    hi = min(max(f0 + fwhm / 2.0, freqs[0]), freqs[-1])
+    mask = (freqs >= lo) & (freqs <= hi)
     if mask.sum() < 2:
         raise AnalysisError("band narrower than the frequency resolution")
-    power = float(np.trapezoid(density[mask], freqs[mask])) / duration
+    band = np.concatenate(([lo], freqs[mask], [hi]))
+    values = np.concatenate(
+        ([np.interp(lo, freqs, density)], density[mask], [np.interp(hi, freqs, density)])
+    )
+    power = float(np.trapezoid(values, band)) / duration
     if power <= 0.0:
         raise AnalysisError("non-positive band power")
     return 10.0 * math.log10(power / 1e-3)

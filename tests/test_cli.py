@@ -256,6 +256,17 @@ class TestRun:
          "integrator steps, above the limit of 1e+08"),
         ("single_fluxon", "n_tail_periods = 1e9",
          "the run's record could reach 2e+11 integrator steps"),
+        # short records holding more pulses than steps, refused before the
+        # envelope (2e8 extrema, 2e8 Pulse objects) is built
+        ("flat_top", "n_pairs = 100000000\nspacing_multiple = 1e-6",
+         "n_pairs makes more pulses than a record of at most 1e+08 "
+         "integrator steps can hold"),
+        ("flat_top", "n_pairs = 10000000\nspacing_multiple = 1e-6",
+         "the train's 20000000 pulses outnumber the 3.86e+05 integrator steps"),
+        # a count no float can hold
+        pytest.param("flat_top", "n_pairs = " + "9" * 400,
+                     "n_pairs makes more pulses than a record of at most 1e+08",
+                     id="flat_top-n_pairs-400-digits"),
     ])
     def test_bad_scenario_input_is_a_config_error(
         self, tmp_path, capsys, monkeypatch, scenario, line, named

@@ -85,9 +85,11 @@ class TestSingleFluxon:
 
     def test_short_ring_down_keeps_its_spectrum(self):
         # ~400 ring-down samples: a stride of 7 would leave 58, below psd's
-        # 256-sample floor, so the spectrum is taken at the full rate
+        # 256-sample floor, so the spectrum is taken at the full rate; the
+        # peak's vertex lies 0.4 of a 1.25 GHz padded bin below its grid
+        # bin at 22.44 GHz
         run = run_single_fluxon((0.25,), n_tail_periods=2).runs[0]
-        assert run.f0 == pytest.approx(22.44e9, rel=1e-3)
+        assert run.f0 == pytest.approx(21.94e9, rel=1e-3)
 
 
 class TestTrainScenarios:
@@ -140,12 +142,14 @@ class TestTrainScenarios:
 
 class TestSpacingMultiple:
     # (f0, fwhm, eta, band power) of run_flat_top(n_pairs=6,
-    # spacing_multiple=m), recorded when only odd integers were accepted
+    # spacing_multiple=m), recorded when only odd integers were accepted and
+    # re-recorded once, eta unchanged, when psd moved to 7-smooth lengths
+    # and interpolated observables
     GOLDEN = {
-        1: (19495155279.5031, 3125175401.951565, 0.012322465853003207,
-            -75.58158332670124),
-        3: (6539000000.0, 1049986105.1326876, 0.014998649293527113,
-            -80.98534436936886),
+        1: (19467091265.54143, 3124693341.9097214, 0.012322465853003207,
+            -75.57252799230685),
+        3: (6545456031.31148, 1049819420.6796513, 0.014998649293527113,
+            -80.95448563953815),
     }
 
     @pytest.mark.parametrize("m", [1, 3, 1.0, 3.0])
@@ -346,6 +350,31 @@ class TestBandwidthSweep:
         report = run_bandwidth_sweep([5, 10])
         widths = [r.fwhm for r in report.runs]
         assert widths[1] < widths[0]
+
+    def test_each_point_is_checked_once(self, monkeypatch):
+        # the sweep's check hands each point's checked train to the run;
+        # nothing checks or builds a point's line a second time
+        calls = {"_check_train": 0, "solve_geometry": 0}
+
+        def counting(name):
+            fn = getattr(experiments, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, wrapper)
+
+        for name in calls:
+            counting(name)
+        report = run_bandwidth_sweep([3, 6])
+        assert calls == {"_check_train": 2, "solve_geometry": 2}
+        # each point is the run_flat_top run of its pair count
+        omega_p = 2 * math.pi * 15e9
+        for run, n in zip(report.runs, (3, 6), strict=True):
+            solver.forget_last_run()
+            single = run_flat_top(3e-6, omega_p, n, lambda_j=3.17)
+            assert run == dataclasses.replace(single, spectrum=None)
 
 
 class TestEfficiencyMap:
