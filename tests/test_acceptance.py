@@ -10,8 +10,8 @@ import os
 import numpy as np
 import pytest
 
-from jtlpulse import solver
-from jtlpulse.analysis import energy_audit, esd
+from jtlpulse import experiments, solver
+from jtlpulse.analysis import energy_audit, esd, psd
 from jtlpulse.circuit import PHI0, CircuitParams, derive, solve_geometry
 from jtlpulse.experiments import (
     MAP_ALPHA_IN,
@@ -24,6 +24,8 @@ from jtlpulse.experiments import (
     run_flat_top,
     run_single_fluxon,
     run_table1,
+    _band_stride,
+    _map_point,
     _map_run,
     _table1_row,
 )
@@ -288,6 +290,151 @@ class TestCriterion8Properties:
         _report("criterion 8f (energy audit)", ok,
                 f"closure error {audit['closure_rel']:.2e} (tolerance 1e-2)")
         assert ok
+
+
+# The integration step's error budget: the largest error each observable
+# may have at DEFAULT_DT_DIVISOR against STEP_REFERENCE, relative unless
+# marked.  The bounds were fixed before the default step was chosen, and
+# the default is the coarsest step that meets all of them; any step change
+# must pass them.  Bounds may be tightened, never widened.
+STEP_REFERENCE = 800
+STEP_BUDGET = {
+    "f0": 1e-5,                # criterion 8g's tolerance
+    "fwhm": 1e-5,
+    "sweep_fwhm": 1e-4,        # the 50-pair point sits on its grid floor
+    "eta": 1e-4,               # absolute; the abstract resolves 1e-2
+    "p_in": 1e-6,
+    "band_power_db": 1e-3,     # absolute, dB
+    "closure_rel": 2.5e-4,     # the default run's own; 4x under 1e-3
+    "f_osc": 1e-4,
+    # single_fluxon's ring-down spectrum: its drift is the grid's, not the
+    # integrator's (test_single_fluxon_spectral_drift_is_the_grid), and
+    # over every dt_divisor from 100 to 400 it reaches 8.6e-4 and 3.0e-3
+    "fluxon_f0": 1e-3,
+    "fluxon_fwhm": 4e-3,
+}
+
+
+def _rel(value, reference):
+    return abs(value - reference) / abs(reference)
+
+
+class TestStepBudget:
+    """Every headline observable at the default step against dt_divisor
+    800, on each workload's worst point; the bounds are STEP_BUDGET's."""
+
+    @staticmethod
+    def _train_errors(point, monkeypatch) -> dict:
+        trajs = []
+        simulate = experiments.simulate
+
+        def recording(*args, **kwargs):
+            trajs.append(simulate(*args, **kwargs))
+            return trajs[-1]
+
+        monkeypatch.setattr(experiments, "simulate", recording)
+        runs = []
+        for divisor in (DEFAULT_DT_DIVISOR, STEP_REFERENCE):
+            solver.forget_last_run()
+            runs.append(point(divisor))
+        run, ref = runs
+        return {
+            "f0": _rel(run.f0, ref.f0),
+            "fwhm": _rel(run.fwhm, ref.fwhm),
+            "eta": abs(run.eta - ref.eta),
+            "p_in": _rel(run.power.avg_input_power, ref.power.avg_input_power),
+            "band_power_db": abs(run.power.band_power_dbm - ref.power.band_power_dbm),
+            "closure_rel": energy_audit(trajs[0])["closure_rel"],
+        }
+
+    @staticmethod
+    def _check(label, errors, bounds, same=True):
+        ok = same and all(errors[k] <= bounds[k] for k in errors)
+        _report(f"step budget ({label}, dt_divisor {DEFAULT_DT_DIVISOR} vs "
+                f"{STEP_REFERENCE})", ok,
+                ", ".join(f"{k} {errors[k]:.1e}/{bounds[k]:g}" for k in errors))
+        assert ok
+
+    @pytest.mark.parametrize(
+        "protocol, row",
+        [("flat_top", TABLE1_FLAT_TOP[0]), ("gaussian", TABLE1_GAUSSIAN[3])],
+        ids=["flat_top_3uA", "gaussian_6uA"],
+    )
+    def test_table1_row(self, monkeypatch, protocol, row):
+        errors = self._train_errors(
+            lambda divisor: _table1_row(row, protocol, divisor), monkeypatch)
+        self._check(f"table1 {protocol} {row[0] * 1e6:g} uA", errors, STEP_BUDGET)
+
+    def test_bandwidth_sweep_50_pairs(self, monkeypatch):
+        errors = self._train_errors(
+            lambda divisor: run_bandwidth_sweep([50], dt_divisor=divisor).runs[0],
+            monkeypatch)
+        self._check("bandwidth_sweep 50 pairs", errors,
+                    {**STEP_BUDGET, "fwhm": STEP_BUDGET["sweep_fwhm"]})
+
+    def test_gaussian_map_point(self):
+        # the workload's map point with the largest eta error
+        def eta(divisor):
+            solver.forget_last_run()
+            kwargs = _map_run(4e-6, 2 * math.pi * 10e9, MAP_ALPHA_IN,
+                              MAP_DAMPING_QUALITY, divisor)
+            return _map_point(SCENARIOS["gaussian"].check(**kwargs), divisor)
+
+        errors = {"eta": abs(eta(DEFAULT_DT_DIVISOR) - eta(STEP_REFERENCE))}
+        self._check("gaussian map 4 uA, 10 GHz", errors, STEP_BUDGET)
+
+    @pytest.fixture(scope="class")
+    def single_fluxon_runs(self):
+        reports = []
+        for divisor in (DEFAULT_DT_DIVISOR, STEP_REFERENCE):
+            solver.forget_last_run()
+            reports.append(run_single_fluxon(dt_divisor=divisor).runs)
+        return list(zip(*reports))
+
+    @pytest.mark.parametrize(
+        "k", range(5), ids=[f"alpha_out_{a}" for a in (0.15, 0.2, 0.25, 0.3, 0.35)])
+    def test_single_fluxon(self, single_fluxon_runs, k):
+        run, ref = single_fluxon_runs[k]
+        errors = {
+            "f_osc": _rel(run.fit.f_osc, ref.fit.f_osc),
+            "fluxon_f0": _rel(run.f0, ref.f0),
+            "fluxon_fwhm": _rel(run.fwhm, ref.fwhm),
+        }
+        self._check(
+            f"single_fluxon alpha_out {run.config['alpha_out']}: {run.regime} "
+            f"with {run.fit.n_peaks} peaks, {ref.regime} with {ref.fit.n_peaks}",
+            errors, STEP_BUDGET,
+            same=(run.regime, run.fit.n_peaks) == (ref.regime, ref.fit.n_peaks))
+
+
+def test_single_fluxon_spectral_drift_is_the_grid(monkeypatch):
+    """At the default step, single_fluxon's f0 and FWHM are those of an
+    integrator k times finer sampled on the default step's grid, to within
+    criterion 8g's 1e-5: what moves them against dt_divisor 800 is where
+    the grid puts the ring-down's first sample and the band stride, not
+    the integrator."""
+    k = -(-STEP_REFERENCE // DEFAULT_DT_DIVISOR)
+    pairs = []
+    simulate = experiments.simulate
+
+    def both(circuit, train, t_end, dt):
+        coarse = simulate(circuit, train, t_end, dt)
+        fine = simulate(circuit, train, coarse.times[-1] + dt, dt / k)
+        pairs.append((coarse, fine.v[-1][:k * (coarse.times.size - 1) + 1:k]))
+        return coarse
+
+    monkeypatch.setattr(experiments, "simulate", both)
+    report = run_single_fluxon()
+    worst = 0.0
+    for run, (coarse, v_fine) in zip(report.runs, pairs, strict=True):
+        ring_down = coarse.times >= coarse.drive_end
+        q = _band_stride(coarse.derived, coarse.dt, int(ring_down.sum()))
+        fine = psd(v_fine[ring_down][::q], coarse.dt * q)
+        worst = max(worst, _rel(run.f0, fine.f0), _rel(run.fwhm, fine.fwhm))
+    ok = worst <= STEP_BUDGET["f0"]
+    _report("single_fluxon drift is the grid", ok,
+            f"integrator's share of f0/FWHM {worst:.1e} (tolerance 1e-5)")
+    assert ok
 
 
 def test_criterion_9_drive_rate_above_plasma_frequency():
