@@ -169,9 +169,9 @@ def _band_stride(derived: DerivedParams, dt: float, n_samples: int) -> int:
     Linear waves on the lattice lie below f_top, and the scenarios' tones
     near f_p.  Taking every q-th sample is plain subsampling: whatever lies
     above the new Nyquist folds back into the band.  At the default step
-    (q = 7 at lambda_J = 3.17 and 3.3, q = 9 at 2.5) that is at most 1e-16 of
+    (q = 5 at lambda_J = 3.17 and 3.3, q = 6 at 2.5) that is at most 1e-16 of
     a flat-top record's energy, up to 2e-6 of a Gaussian one's (its
-    multi-quantum pulses reach above f_top) and ~1e-11 of a single fluxon's
+    multi-quantum pulses reach above f_top) and ~2e-11 of a single fluxon's
     at the last cell.
     """
     f_top = derived.omega_p / (2.0 * math.pi) * math.sqrt(
@@ -859,11 +859,16 @@ def scenario_parameters(scenario: str) -> dict[str, object]:
 
 def check_overrides(overrides: dict, jobs: int | None = None) -> None:
     """Refuse the run settings every scenario shares: a dt_divisor below
-    MIN_DT_DIVISOR, and a jobs count (``jobs`` or the ``jobs`` override)
-    below 1."""
+    MIN_DT_DIVISOR or above MAX_RECORD_STEPS (a single plasma period would
+    take more steps than a record may hold), and a jobs count (``jobs`` or
+    the ``jobs`` override) below 1.  The divisor is compared as given,
+    before any float arithmetic on it, so an integer no float can hold is
+    refused here too."""
     divisor = overrides.get("dt_divisor", MIN_DT_DIVISOR)
     if divisor < MIN_DT_DIVISOR:
         raise ScenarioError(f"dt_divisor must be >= {MIN_DT_DIVISOR}, got {divisor!r}")
+    if divisor > MAX_RECORD_STEPS:
+        raise ScenarioError(f"dt_divisor must be <= {MAX_RECORD_STEPS}, got {divisor!r}")
     for count in (jobs, overrides.get("jobs")):
         if count is not None and count < 1:
             raise ScenarioError(f"jobs must be >= 1, got {count!r}")

@@ -321,7 +321,8 @@ def _rel(value, reference):
 
 class TestStepBudget:
     """Every headline observable at the default step against dt_divisor
-    800, on each workload's worst point; the bounds are STEP_BUDGET's."""
+    800, on criterion 8g's Table-1 rows and on the points of the other
+    workloads where the errors are largest; the bounds are STEP_BUDGET's."""
 
     @staticmethod
     def _train_errors(point, monkeypatch) -> dict:

@@ -11,6 +11,13 @@ import pytest
 
 from jtlpulse import experiments
 from jtlpulse.cli import eng, load_config, main
+from jtlpulse.solver import DEFAULT_DT_DIVISOR
+
+
+def _steps(periods: float) -> str:
+    """A record of ``periods`` plasma periods in default steps, as the
+    record-limit messages print it."""
+    return f"{periods * DEFAULT_DT_DIVISOR:.3g}"
 
 ROW2_CONFIG = """\
 [circuit]
@@ -244,29 +251,34 @@ class TestRun:
          "alpha_out must be finite and positive, got inf"),
         ("bandwidth_sweep", "f_plasma = 0",
          "f_plasma must be finite and positive, got 0.0"),
-        # ~1e10 steps (~800 GB of trajectory) and a 2e9-extremum envelope
+        # records of 4.95e7 and 1e9 plasma periods (~1e10 steps, ~800 GB of
+        # trajectory, and a 2e9-extremum envelope)
         ("flat_top", "spacing_multiple = 1e6",
-         "the run's record could reach 9.9e+09 integrator steps, "
+         f"the run's record could reach {_steps(4.95e7)} integrator steps, "
          "above the limit of 1e+08"),
         ("flat_top", "n_pairs = 1000000000",
-         "the run's record could reach 2e+11 integrator steps"),
+         f"the run's record could reach {_steps(1e9)} integrator steps"),
         ("bandwidth_sweep", "n_pairs_list = 50, 1000000000",
-         "the run's record could reach 2e+11 integrator steps"),
+         f"the run's record could reach {_steps(1e9)} integrator steps"),
         ("efficiency_map", "dt_divisor = 100000000",
          "integrator steps, above the limit of 1e+08"),
         ("single_fluxon", "n_tail_periods = 1e9",
-         "the run's record could reach 2e+11 integrator steps"),
+         f"the run's record could reach {_steps(1e9)} integrator steps"),
         # short records holding more pulses than steps, refused before the
         # envelope (2e8 extrema, 2e8 Pulse objects) is built
         ("flat_top", "n_pairs = 100000000\nspacing_multiple = 1e-6",
          "n_pairs makes more pulses than a record of at most 1e+08 "
          "integrator steps can hold"),
         ("flat_top", "n_pairs = 10000000\nspacing_multiple = 1e-6",
-         "the train's 20000000 pulses outnumber the 3.86e+05 integrator steps"),
+         f"the train's 20000000 pulses outnumber the {_steps(1931)} integrator "
+         "steps"),
         # a count no float can hold
         pytest.param("flat_top", "n_pairs = " + "9" * 400,
                      "n_pairs makes more pulses than a record of at most 1e+08",
                      id="flat_top-n_pairs-400-digits"),
+        pytest.param("flat_top", "dt_divisor = " + "9" * 400,
+                     "dt_divisor must be <= 100000000",
+                     id="flat_top-dt_divisor-400-digits"),
     ])
     def test_bad_scenario_input_is_a_config_error(
         self, tmp_path, capsys, monkeypatch, scenario, line, named
@@ -390,6 +402,9 @@ PRE_RUN_REFUSALS = [
     ("[scenario]\nid = table1\njobs = 0\n", "jobs must be >= 1, got 0"),
     ("[scenario]\nid = flat_top\n[solver]\ndt_divisor = 50\n",
      "dt_divisor must be >= 100, got 50"),
+    pytest.param("[scenario]\nid = flat_top\n[solver]\ndt_divisor = " + "9" * 400
+                 + "\n", "dt_divisor must be <= 100000000",
+                 id="dt_divisor-400-digits"),
 ]
 
 

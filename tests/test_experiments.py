@@ -142,14 +142,15 @@ class TestTrainScenarios:
 
 class TestSpacingMultiple:
     # (f0, fwhm, eta, band power) of run_flat_top(n_pairs=6,
-    # spacing_multiple=m), recorded when only odd integers were accepted and
+    # spacing_multiple=m), recorded when only odd integers were accepted,
     # re-recorded once, eta unchanged, when psd moved to 7-smooth lengths
-    # and interpolated observables
+    # and interpolated observables, and once more when the default step
+    # went from a 200th to a 140th of the plasma period
     GOLDEN = {
-        1: (19467091265.54143, 3124693341.9097214, 0.012322465853003207,
-            -75.57252799230685),
-        3: (6545456031.31148, 1049819420.6796513, 0.014998649293527113,
-            -80.95448563953815),
+        1: (19467089003.780407, 3124691700.937729, 0.012322469402995227,
+            -75.57253446893935),
+        3: (6545456032.468168, 1049819422.0392561, 0.014998652854242562,
+            -80.95448541442352),
     }
 
     @pytest.mark.parametrize("m", [1, 3, 1.0, 3.0])
@@ -176,8 +177,9 @@ def _derived(lambda_j, f_p=15e9):
 class TestBandStride:
     @pytest.mark.parametrize(
         "lambda_j, dt_divisor, q",
-        [(3.17, DEFAULT_DT_DIVISOR, 7), (3.3, DEFAULT_DT_DIVISOR, 7),
-         (2.5, DEFAULT_DT_DIVISOR, 9), (3.17, MIN_DT_DIVISOR, 3)],
+        [(3.17, 200, 7), (3.3, 200, 7), (2.5, 200, 9),
+         (3.17, DEFAULT_DT_DIVISOR, 5), (3.3, DEFAULT_DT_DIVISOR, 5),
+         (2.5, DEFAULT_DT_DIVISOR, 6), (3.17, MIN_DT_DIVISOR, 3)],
     )
     def test_nyquist_covers_twice_the_band_top(self, lambda_j, dt_divisor, q):
         d = _derived(lambda_j)
@@ -195,8 +197,9 @@ class TestBandStride:
     @pytest.mark.parametrize("n_samples, q", [(255, 1), (400, 1), (768, 3),
                                               (1791, 6), (1792, 7)])
     def test_leaves_256_samples(self, n_samples, q):
+        # at a two-hundredth of the plasma period the widest stride is 7
         d = _derived(3.17)
-        dt = 2 * math.pi / d.omega_p / DEFAULT_DT_DIVISOR
+        dt = 2 * math.pi / d.omega_p / 200
         assert experiments._band_stride(d, dt, n_samples) == q
         assert n_samples < 256 or math.ceil(n_samples / q) >= 256
 

@@ -103,13 +103,14 @@ def recorded(monkeypatch):
 
 class TestBandwidthSweep:
     # the default sweep on the compiled loop; a (3, 6)-pair sweep on the
-    # numpy loop, whose pace would make the default one the suite's slowest
+    # numpy loop, whose pace would make the default one the suite's slowest;
+    # columns and steps at a two-hundredth of the plasma period a step
     CASES = {"compiled": ((50, 100, 200, 500), [0, 9592, 19592, 39592], 125_412),
              "numpy": ((3, 6), [0, 192], 6_647 + 7_055)}
 
     def test_points_resume_where_the_trains_part(self, spy, recorded):
         n_pairs, starts, steps = self.CASES[spy.name]
-        experiments.run_bandwidth_sweep(n_pairs)
+        experiments.run_bandwidth_sweep(n_pairs, dt_divisor=200)
         assert spy.starts == starts
         assert spy.steps == steps
         assert len(recorded) == len(n_pairs)

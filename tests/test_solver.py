@@ -32,6 +32,11 @@ def _circuit(n_jtl=13, r_n=None, f_p=15e9, lam=3.17, i_c=4e-6):
     return solve_geometry(i_c, lam, 2 * math.pi * f_p, 5.0, 0.25, n_jtl, **kwargs)
 
 
+# Three plasma periods of _circuit(): psd's 256 samples at any admissible
+# step (MIN_DT_DIVISOR and finer)
+_THREE_PERIODS = 3 / 15e9
+
+
 def _open(c):
     """``c`` with both ends left open (infinite terminations)."""
     return replace(c, z_in=math.inf, z_out=math.inf)
@@ -580,7 +585,7 @@ class TestCsvFormatterCache:
         monkeypatch.setenv("XDG_CACHE_HOME", str(warm_cache))
         _misprinting_tables(monkeypatch)
         caplog.set_level(logging.WARNING, logger="jtlpulse")
-        traj = simulate(_circuit(n_jtl=3), None, 1e-10,
+        traj = simulate(_circuit(n_jtl=3), None, _THREE_PERIODS,
                         initial_phi=np.array([0.1, -0.2, 0.0]))
         analysis.psd(traj.v[0], traj.dt).to_csv(tmp_path / "spectrum.csv")
         analysis.psd(traj.v[1], traj.dt).to_csv(tmp_path / "spectrum.csv")
@@ -664,7 +669,7 @@ class TestExports:
         # shorter than the spectrum exercise the block boundaries
         monkeypatch.setattr(analysis, "_CSV_BLOCK_ROWS", 7)
         c = _circuit(n_jtl=3)
-        traj = simulate(c, None, 1e-10, initial_phi=np.array([0.1, -0.2, 0.0]))
+        traj = simulate(c, None, _THREE_PERIODS, initial_phi=np.array([0.1, -0.2, 0.0]))
         sp = analysis.psd(traj.v[0], traj.dt)
         path = tmp_path / "spectrum.csv"
         sp.to_csv(path)
