@@ -188,6 +188,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
     conf = load_config(args.config, args.scenario)
     sid, overrides = _scenario_overrides(conf, args.scenario)
     if sid is None:
@@ -195,7 +197,7 @@ def cmd_run(args) -> int:
     if args.dt_divisor is not None:
         overrides["dt_divisor"] = args.dt_divisor
     try:
-        report = run_scenario(sid, overrides, jobs=args.jobs)
+        report = run_scenario(sid, overrides)
     except (SolverError, AnalysisError) as exc:
         print(
             f"scenario {sid!r} failed with resolved overrides {overrides!r}",
@@ -239,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--scenario", choices=SCENARIO_IDS)
     p_run.add_argument("--out", default=".")
-    p_run.add_argument("--jobs", type=int, default=None)
+    p_run.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="accepted, with no effect, for N >= 1: every scenario computes "
+             "its points in order in this process",
+    )
     p_run.add_argument("--dt-divisor", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
     p_val = sub.add_parser("validate", help="check a config file")

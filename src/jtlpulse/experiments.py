@@ -25,9 +25,6 @@ import functools
 import inspect
 import json
 import math
-import os
-import pickle
-import sys
 import warnings
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
@@ -602,111 +599,6 @@ MAP_ALPHA_IN = 3.5
 MAP_DAMPING_QUALITY = 400.0
 
 
-def _pool_map(fn, tasks: list[tuple], jobs: int | None) -> list:
-    """``[fn(*task) for task in tasks]`` computed by up to ``jobs`` processes,
-    this one included (default: one per usable core).
-
-    With j = min(jobs, len(tasks)), this process forks j - 1 children.  Child
-    k computes ``tasks[k::j]`` and sends its results back pickled through a
-    pipe while this process computes ``tasks[0::j]``, so the results are the
-    serial loop's, bit for bit.  An exception raised in a child re-raises
-    here with its type and message, or as a RuntimeError naming both if it
-    cannot be pickled; a child that ends without a result (killed by a
-    signal, say) raises ChildProcessError.  On any error the children still
-    running are killed; every child is reaped before this returns.  Serial
-    when j <= 1 or where ``os.fork`` is missing.
-    """
-    if jobs is None:
-        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-    jobs = min(jobs, len(tasks))
-    if jobs <= 1 or not hasattr(os, "fork"):
-        return [fn(*task) for task in tasks]
-    results = [None] * len(tasks)
-    children = []  # (pid, read end of its pipe), in share order
-    reaped = 0
-    sys.stdout.flush()
-    sys.stderr.flush()
-    try:
-        for k in range(1, jobs):
-            children.append(_fork_share(fn, tasks[k::jobs], children))
-        results[0::jobs] = [fn(*task) for task in tasks[0::jobs]]
-        for k, (pid, fd) in enumerate(children, 1):
-            with open(fd, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped += 1
-            if code < 0:
-                import signal  # only a killed child needs it
-
-                raise ChildProcessError(f"worker process {pid} was killed by "
-                                        f"{signal.Signals(-code).name}")
-            if code or not payload:
-                raise ChildProcessError(f"worker process {pid} exited with "
-                                        f"status {code} without a result")
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            results[k::jobs] = value
-    finally:
-        if reaped < len(children):
-            import signal  # only an error gets here
-
-            for pid, _ in children[reaped:]:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for _, fd in children:
-            os.close(fd)
-    return results
-
-
-def _fork_share(
-    fn, share: list[tuple], siblings: list[tuple[int, int]]
-) -> tuple[int, int]:
-    """Fork a child computing ``[fn(*task) for task in share]``; returns
-    (pid, read end of the pipe carrying its pickled ``(ok, value)``).
-
-    The child closes the read ends it inherits, its own and those of
-    ``siblings`` (the (pid, fd) of earlier children).  It leaves by
-    ``os._exit`` whatever happens, so it never returns into the caller's
-    stack, and exits 0 only once its payload is written.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    code = 1
-    try:
-        os.close(read_fd)
-        for _, fd in siblings:
-            os.close(fd)
-        try:
-            payload = pickle.dumps((True, [fn(*task) for task in share]))
-        except Exception as exc:
-            # the caller must be able to load whatever is sent
-            try:
-                payload = pickle.dumps((False, exc))
-                pickle.loads(payload)
-            except Exception:
-                error = RuntimeError(f"{type(exc).__name__}: {exc}")
-                payload = pickle.dumps((False, error))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        finally:
-            os._exit(code)
-
-
 def _map_run(
     i_c: float, omega_p: float, alpha_in: float, quality: float, dt_divisor: int
 ) -> dict:
@@ -728,7 +620,7 @@ def _map_point(line: tuple, dt_divisor: int) -> float:
 
 def _check_efficiency_map(a: dict) -> list[tuple]:
     """Refuse the arguments ``a`` of run_efficiency_map, each grid point's
-    runner call included, before any point is forked off; returns each
+    runner call included, before any point is integrated; returns each
     point's ``_check_train`` result, omega_p the outer loop."""
     i_c_grid = [float(x) for x in a["i_c_grid"]]
     omega_p_grid = [float(x) for x in a["omega_p_grid"]]
@@ -760,7 +652,6 @@ def run_efficiency_map(
     *,
     alpha_in: float = MAP_ALPHA_IN,
     damping_quality: float = MAP_DAMPING_QUALITY,
-    jobs: int | None = None,
     dt_divisor: int = DEFAULT_DT_DIVISOR,
 ) -> ScenarioReport:
     """Energy-efficiency matrix over (i_c, omega_p) for one protocol."""
@@ -768,7 +659,7 @@ def run_efficiency_map(
     i_c_grid = [float(x) for x in i_c_grid]
     omega_p_grid = [float(x) for x in omega_p_grid]
     points = [(i_c, omega_p) for omega_p in omega_p_grid for i_c in i_c_grid]
-    etas = _pool_map(_map_point, [(line, dt_divisor) for line in lines], jobs)
+    etas = [_map_point(line, dt_divisor) for line in lines]
     runs = []
     for (i_c, omega_p), value in zip(points, etas):
         config = {
@@ -812,14 +703,11 @@ def _table1_row(row, protocol: str, dt_divisor: int) -> RunResult:
     )
 
 
-def run_table1(
-    jobs: int | None = None, dt_divisor: int = DEFAULT_DT_DIVISOR
-) -> ScenarioReport:
-    """All eight performance-table rows with per-row pass/fail, computed on
-    up to ``jobs`` processes."""
+def run_table1(dt_divisor: int = DEFAULT_DT_DIVISOR) -> ScenarioReport:
+    """All eight performance-table rows with per-row pass/fail."""
     tasks = [(row, "flat_top", dt_divisor) for row in TABLE1_FLAT_TOP]
     tasks += [(row, "gaussian", dt_divisor) for row in TABLE1_GAUSSIAN]
-    runs = tuple(_pool_map(_table1_row, tasks, jobs))
+    runs = tuple(_table1_row(*task) for task in tasks)
     provenance = {"scenario": "table1", "tolerances": TABLE1_TOLERANCES,
                   "n_rows": len(runs)}
     return ScenarioReport(scenario="table1", runs=runs, provenance=provenance)
@@ -857,47 +745,39 @@ def scenario_parameters(scenario: str) -> dict[str, object]:
     return params
 
 
-def check_overrides(overrides: dict, jobs: int | None = None) -> None:
-    """Refuse the run settings every scenario shares: a dt_divisor below
+def check_overrides(overrides: dict) -> None:
+    """Refuse the run setting every scenario shares: a dt_divisor below
     MIN_DT_DIVISOR or above MAX_RECORD_STEPS (a single plasma period would
-    take more steps than a record may hold), and a jobs count (``jobs`` or
-    the ``jobs`` override) below 1.  The divisor is compared as given,
-    before any float arithmetic on it, so an integer no float can hold is
-    refused here too."""
+    take more steps than a record may hold).  The divisor is compared as
+    given, before any float arithmetic on it, so an integer no float can
+    hold is refused here too."""
     divisor = overrides.get("dt_divisor", MIN_DT_DIVISOR)
     if divisor < MIN_DT_DIVISOR:
         raise ScenarioError(f"dt_divisor must be >= {MIN_DT_DIVISOR}, got {divisor!r}")
     if divisor > MAX_RECORD_STEPS:
         raise ScenarioError(f"dt_divisor must be <= {MAX_RECORD_STEPS}, got {divisor!r}")
-    for count in (jobs, overrides.get("jobs")):
-        if count is not None and count < 1:
-            raise ScenarioError(f"jobs must be >= 1, got {count!r}")
 
 
 def check_scenario(scenario: str, overrides: dict) -> None:
     """Refuse, without running anything, every input that
-    ``run_scenario(scenario, overrides)`` refuses before it integrates or
-    forks, with the same exception and message."""
+    ``run_scenario(scenario, overrides)`` refuses before any point
+    integrates, with the same exception and message."""
     check_overrides(overrides)
     check = getattr(SCENARIOS[scenario], "check", None)
     if check is not None:  # table1 takes only the run settings
         check(**overrides)
 
 
-def run_scenario(
-    scenario: str, overrides: dict, jobs: int | None = None
-) -> ScenarioReport:
-    """Call the scenario's runner with ``overrides`` as keyword arguments;
-    ``jobs`` reaches the runners that take it.  ``check_overrides`` refuses
-    the run settings before the runner is called, and the runner refuses
-    the rest of its input itself before it integrates."""
+def run_scenario(scenario: str, overrides: dict) -> ScenarioReport:
+    """Call the scenario's runner with ``overrides`` as keyword arguments.
+    ``check_overrides`` refuses the run setting before the runner is
+    called, and the runner refuses the rest of its input itself before it
+    integrates."""
     if scenario not in SCENARIOS:
         raise ScenarioError(
             f"unknown scenario {scenario!r}; valid ids: " + ", ".join(SCENARIO_IDS)
         )
-    check_overrides(overrides, jobs)
-    if jobs is not None and "jobs" in scenario_parameters(scenario):
-        overrides = {**overrides, "jobs": jobs}
+    check_overrides(overrides)
     result = SCENARIOS[scenario](**overrides)
     if isinstance(result, RunResult):
         result = ScenarioReport(scenario, (result,), {"scenario": scenario})

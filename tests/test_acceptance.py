@@ -5,7 +5,6 @@ asserts, so the suite doubles as a human-readable scorecard.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -31,8 +30,6 @@ from jtlpulse.experiments import (
 )
 from jtlpulse.pulses import sech_pulse
 from jtlpulse.solver import DEFAULT_DT_DIVISOR, simulate
-
-JOBS = min(2, os.cpu_count() or 1)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -111,12 +108,7 @@ def _check_table_rows(runs):
 
 @pytest.fixture(scope="module")
 def table1_report():
-    return run_table1(jobs=JOBS)
-
-
-def test_table1_parallel_matches_serial(table1_report):
-    solver.forget_last_run()
-    assert table1_report.to_json() == run_table1(jobs=1).to_json()
+    return run_table1()
 
 
 def test_criterion_4_flat_top_table(table1_report):
@@ -162,10 +154,8 @@ def test_criterion_7_efficiency_maps():
     """Max eta >= 0.90 for both protocols; flat-top eta non-decreasing in
     i_c at fixed omega_p over the tested grid."""
     omega_grid = [2 * math.pi * f for f in (22e9, 26e9, 30e9)]
-    flat = run_efficiency_map([2e-6, 3e-6], omega_grid, "flat_top", jobs=JOBS)
-    gauss = run_efficiency_map(
-        [2e-6, 3e-6, 4e-6], omega_grid, "gaussian", jobs=JOBS
-    )
+    flat = run_efficiency_map([2e-6, 3e-6], omega_grid, "flat_top")
+    gauss = run_efficiency_map([2e-6, 3e-6, 4e-6], omega_grid, "gaussian")
     eta_flat = np.array(flat.provenance["eta_matrix"])
     eta_gauss = np.array(gauss.provenance["eta_matrix"])
     rows_monotone = bool(np.all(np.diff(eta_flat, axis=0) >= 0.0))

@@ -151,7 +151,7 @@ class TestFftLength:
             config = tmp_path / f"{name}.ini"
             config.write_text(workload.ini)
             assert cli.main(["run", "--config", str(config), "--out",
-                             str(tmp_path / name), "--jobs", "1"]) == 0
+                             str(tmp_path / name)]) == 0
         # table1, the sweep and single_fluxon take one transform a point
         assert len(lengths) == 8 + 4 + 5
         for size, n_fft in lengths:
@@ -196,7 +196,7 @@ class TestForwardEnergy:
             return fast
 
         monkeypatch.setattr(experiments, "forward_energy", both)
-        experiments.run_table1(jobs=1)
+        experiments.run_table1()
         # the input port while settling and the output port, on all 8 rows
         assert len(energies) >= 16
         for fast, loop in energies:

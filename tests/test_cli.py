@@ -2,7 +2,6 @@
 
 import functools
 import os
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -39,9 +38,9 @@ def row2_config(tmp_path):
 
 
 def test_import_loads_no_process_machinery():
-    # the scenario pool forks on demand and the compiler runs only on a
-    # cache miss, so a cold start imports neither the executor nor the
-    # process modules
+    # every scenario computes its points in this process and the compiler
+    # runs only on a cache miss, so a cold start imports neither the
+    # executor nor the process modules
     src = str(Path(experiments.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     modules = ("concurrent.futures", "multiprocessing", "subprocess")
@@ -160,27 +159,6 @@ class TestRun:
         assert code == 2
         assert "alpha_out_grid" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("killed", [False, True])
-    def test_pooled_run_leaves_no_process(self, tmp_path, capsys, monkeypatch, killed):
-        # a worker killed by a signal is a runtime error, exit code 3
-        def point(line, *args):
-            if line[0].i_c == 3e-6:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return 0.5
-
-        if killed:
-            monkeypatch.setattr(experiments, "_map_point", point)
-        config = tmp_path / "map.ini"
-        config.write_text("[scenario]\nid = efficiency_map\ni_c_grid = 2e-6, 3e-6\n"
-                          "omega_p_grid = 1.1e11\nprotocol = gaussian\n")
-        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o"),
-                     "--jobs", "2"])
-        assert code == (3 if killed else 0)
-        if killed:
-            assert "was killed by SIGKILL" in capsys.readouterr().err
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     def test_table1_emits_eight_rows(self, tmp_path, capsys):
         config = tmp_path / "t.ini"
         config.write_text("[scenario]\nid = table1\n")
@@ -226,8 +204,10 @@ class TestRun:
         ("alpha_sweep", "alpha_out_grid =", "alpha_out grid must be non-empty"),
         ("flat_top", "sigma = 1.5", "sigma applies to the gaussian shape only"),
         ("bandwidth_sweep", "sigma = 1.5", "sigma applies to the gaussian shape only"),
-        ("efficiency_map", "jobs = 0", "jobs must be >= 1, got 0"),
-        ("table1", "jobs = -3", "jobs must be >= 1, got -3"),
+        ("efficiency_map", "jobs = 0",
+         "unknown key 'jobs' in section [scenario] for scenario 'efficiency_map'"),
+        ("table1", "jobs = -3",
+         "unknown key 'jobs' in section [scenario] for scenario 'table1'"),
         ("efficiency_map", "i_c_grid =", "efficiency map grids must be non-empty"),
         ("flat_top", "spacing_multiple = 0",
          "spacing_multiple must be finite and positive, got 0.0"),
@@ -300,13 +280,13 @@ class TestRun:
         ("damping_quality = -1",
          "damping_quality must be strictly positive, got -1.0"),
     ])
-    def test_bad_map_point_is_refused_before_forking(
+    def test_bad_map_point_is_refused_before_any_point_integrates(
         self, tmp_path, capsys, monkeypatch, line, message
     ):
-        def no_fork():
-            raise OSError("forked before the grid was checked")
+        def no_settle(*args):
+            raise OSError("a point integrated before the grid was checked")
 
-        monkeypatch.setattr(experiments.os, "fork", no_fork)
+        monkeypatch.setattr(experiments, "_settle_train", no_settle)
         config = _write(tmp_path, "[scenario]\nid = efficiency_map\n"
                         f"i_c_grid = 2e-6, 3e-6\nomega_p_grid = 1.1e11\n{line}\n")
         code = main(["run", "--config", config, "--out", str(tmp_path / "o"),
@@ -396,10 +376,12 @@ IGNORED_KEYS = [
      "alpha_out"),
 ]
 
-# Configs whose every key resolves but which run refuses before any runner
-# starts; validate must refuse them too, with the same message.
+# Configs which run refuses before any runner starts; validate must refuse
+# them too, with the same message.  jobs is no scenario's key, whatever its
+# value.
 PRE_RUN_REFUSALS = [
-    ("[scenario]\nid = table1\njobs = 0\n", "jobs must be >= 1, got 0"),
+    ("[scenario]\nid = table1\njobs = 0\n",
+     "unknown key 'jobs' in section [scenario] for scenario 'table1'"),
     ("[scenario]\nid = flat_top\n[solver]\ndt_divisor = 50\n",
      "dt_divisor must be >= 100, got 50"),
     pytest.param("[scenario]\nid = flat_top\n[solver]\ndt_divisor = " + "9" * 400
@@ -549,17 +531,16 @@ omega_p_grid = 1.1e11, 1.3e11
 protocol = gaussian
 alpha_in = 3.0
 damping_quality = 100.0
-jobs = 3
 [solver]
 dt_divisor = 150
 """,
         {"i_c_grid": [2e-06, 4e-06], "omega_p_grid": [1.1e11, 1.3e11],
          "protocol": "gaussian", "alpha_in": 3.0, "damping_quality": 100.0,
-         "jobs": 2, "dt_divisor": 250},
+         "dt_divisor": 250},
     ),
     "table1": (
-        "[scenario]\nid = table1\njobs = 3\n[solver]\ndt_divisor = 150\n",
-        {"jobs": 2, "dt_divisor": 250},
+        "[scenario]\nid = table1\n[solver]\ndt_divisor = 150\n",
+        {"dt_divisor": 250},
     ),
 }
 

@@ -4,11 +4,7 @@ import dataclasses
 import functools
 import json
 import math
-import os
-import signal
-import time
 
-import numpy as np
 import pytest
 
 from jtlpulse import analysis, experiments, solver
@@ -382,9 +378,7 @@ class TestBandwidthSweep:
 
 class TestEfficiencyMap:
     def test_single_point_smoke(self):
-        report = run_efficiency_map(
-            [4e-6], [2 * math.pi * 20e9], "flat_top", jobs=1
-        )
+        report = run_efficiency_map([4e-6], [2 * math.pi * 20e9], "flat_top")
         assert len(report.runs) == 1
         assert 0.0 < report.runs[0].eta <= 1.0
         assert report.provenance["eta_max"] == report.runs[0].eta
@@ -437,94 +431,9 @@ class TestEfficiencyMap:
         counting(analysis, "esd")
         counting(experiments, "_check_train")
         grid = ([2e-6, 3e-6], [2 * math.pi * f for f in (22e9, 26e9)])
-        report = run_efficiency_map(*grid, "gaussian", jobs=1)
+        report = run_efficiency_map(*grid, "gaussian")
         assert len(report.runs) == 4
         assert calls == {"psd": 0, "esd": 0, "_check_train": 4}
-
-    def test_parallel_reduction_is_deterministic(self):
-        # two jobs split the nine points 5/4; three split them 3/3/3, two
-        # of the shares in children
-        grid = ([2e-6, 3e-6, 4e-6], [2 * math.pi * f for f in (10e9, 15e9, 20e9)])
-        serial = run_efficiency_map(*grid, "gaussian", jobs=1).to_json()
-        for jobs in (2, 3):
-            solver.forget_last_run()
-            assert run_efficiency_map(*grid, "gaussian", jobs=jobs).to_json() == serial
-
-
-def _raise_on(bad, exc_type=ScenarioError):
-    def point(x):
-        if x == bad:
-            raise exc_type(f"bad point {x}")
-        return x
-
-    return point
-
-
-class _KeywordError(Exception):
-    """Pickles by its args, which leave out the keyword it requires."""
-
-    def __init__(self, message, *, point):
-        super().__init__(message)
-        self.point = point
-
-
-class TestPoolMap:
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_default_counts_usable_cores(self, monkeypatch):
-        # confined to one core, the default is serial: no process is
-        # forked, whatever the machine's core count
-        def no_fork():
-            raise AssertionError("a process was forked on one usable core")
-
-        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(experiments.os, "fork", no_fork)
-        assert experiments._pool_map(pow, [(2, 3), (3, 2)], None) == [8, 9]
-
-    @pytest.mark.parametrize("bad", [0, 1], ids=["caller", "child"])
-    def test_error_reraises_with_type_and_message(self, bad):
-        # at jobs=2 the caller computes the even tasks, the child the odd
-        with pytest.raises(ScenarioError, match=f"^bad point {bad}$"):
-            experiments._pool_map(_raise_on(bad), [(0,), (1,), (2,)], 2)
-
-    @pytest.mark.parametrize("step", ["dumps", "loads"])
-    def test_unpicklable_error_arrives_as_runtime_error(self, step):
-        class LocalError(Exception):
-            """A local class: pickle cannot find it by name."""
-
-        exc_type = (LocalError if step == "dumps"
-                    else functools.partial(_KeywordError, point=1))
-        name = "LocalError" if step == "dumps" else "_KeywordError"
-        with pytest.raises(RuntimeError, match=f"^{name}: bad point 1$"):
-            experiments._pool_map(_raise_on(1, exc_type), [(0,), (1,)], 2)
-
-    def test_killed_child_names_signal_and_others_are_killed(self):
-        def point(x):
-            if x == 1:
-                os.kill(os.getpid(), signal.SIGKILL)
-            if x == 2:
-                time.sleep(60)  # the caller has to kill this child
-            return x
-
-        start = time.monotonic()
-        with pytest.raises(ChildProcessError, match="SIGKILL"):
-            experiments._pool_map(point, [(0,), (1,), (2,)], 3)
-        assert time.monotonic() - start < 30
-
-    def test_results_beyond_pipe_buffer_arrive_in_order(self):
-        # 1 MB per result, far beyond a 64 KiB pipe buffer
-        results = experiments._pool_map(
-            lambda x: np.full(125_000, float(x)), [(x,) for x in range(5)], 2
-        )
-        assert [a.shape for a in results] == [(125_000,)] * 5
-        for x, a in enumerate(results):
-            assert np.all(a == x)
 
 
 class TestScenarioDispatch:
