@@ -280,13 +280,19 @@ class TestRun:
         ("damping_quality = -1",
          "damping_quality must be strictly positive, got -1.0"),
     ])
-    def test_bad_map_point_is_refused_before_any_point_integrates(
+    def test_bad_map_point_is_refused_before_forking(
         self, tmp_path, capsys, monkeypatch, line, message
     ):
+        # the whole grid is checked before any point integrates, and no
+        # process is forked for it at all
         def no_settle(*args):
             raise OSError("a point integrated before the grid was checked")
 
+        def no_fork():
+            raise OSError("a map run forked")
+
         monkeypatch.setattr(experiments, "_settle_train", no_settle)
+        monkeypatch.setattr(os, "fork", no_fork)
         config = _write(tmp_path, "[scenario]\nid = efficiency_map\n"
                         f"i_c_grid = 2e-6, 3e-6\nomega_p_grid = 1.1e11\n{line}\n")
         code = main(["run", "--config", config, "--out", str(tmp_path / "o"),
