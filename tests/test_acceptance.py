@@ -398,6 +398,72 @@ class TestStepBudget:
             same=(run.regime, run.fit.n_peaks) == (ref.regime, ref.fit.n_peaks))
 
 
+SETTLE_BUDGET = {
+    "f0": 1e-9,
+    "fwhm": 1e-8,
+    "band_power_db": 1e-8,     # absolute, dB
+    "eta": 1e-12,              # absolute
+    "p_in": 1e-12,
+}
+
+
+class TestSettleBudget:
+    """Every headline observable of the default settle, a first tail of
+    TAIL_PERIODS doubled until the line holds at most SETTLED of the
+    injected energy, against a first tail of the whole spectrum window
+    (WINDOW_PERIODS), on TestStepBudget's train and map points; the bounds
+    are SETTLE_BUDGET's."""
+
+    @staticmethod
+    def _both(point, monkeypatch) -> list:
+        runs = []
+        for periods in (experiments.TAIL_PERIODS, experiments.WINDOW_PERIODS):
+            monkeypatch.setattr(experiments, "TAIL_PERIODS", periods)
+            solver.forget_last_run()
+            runs.append(point())
+        return runs
+
+    @staticmethod
+    def _check(label, errors):
+        ok = all(errors[k] <= SETTLE_BUDGET[k] for k in errors)
+        _report(f"settle budget ({label}, default settle vs a first tail of "
+                "the spectrum window)", ok,
+                ", ".join(f"{k} {errors[k]:.1e}/{SETTLE_BUDGET[k]:g}" for k in errors))
+        assert ok
+
+    def _check_train(self, label, point, monkeypatch):
+        run, ref = self._both(point, monkeypatch)
+        self._check(label, {
+            "f0": _rel(run.f0, ref.f0),
+            "fwhm": _rel(run.fwhm, ref.fwhm),
+            "band_power_db": abs(run.power.band_power_dbm - ref.power.band_power_dbm),
+            "eta": abs(run.eta - ref.eta),
+            "p_in": _rel(run.power.avg_input_power, ref.power.avg_input_power),
+        })
+
+    @pytest.mark.parametrize(
+        "protocol, row",
+        [("flat_top", TABLE1_FLAT_TOP[0]), ("gaussian", TABLE1_GAUSSIAN[3])],
+        ids=["flat_top_3uA", "gaussian_6uA"],
+    )
+    def test_table1_row(self, monkeypatch, protocol, row):
+        self._check_train(
+            f"table1 {protocol} {row[0] * 1e6:g} uA",
+            lambda: _table1_row(row, protocol, DEFAULT_DT_DIVISOR), monkeypatch)
+
+    def test_bandwidth_sweep_50_pairs(self, monkeypatch):
+        self._check_train("bandwidth_sweep 50 pairs",
+                          lambda: run_bandwidth_sweep([50]).runs[0], monkeypatch)
+
+    def test_gaussian_map_point(self, monkeypatch):
+        kwargs = _map_run(4e-6, 2 * math.pi * 10e9, MAP_ALPHA_IN,
+                          MAP_DAMPING_QUALITY, DEFAULT_DT_DIVISOR)
+        line = SCENARIOS["gaussian"].check(**kwargs)
+        run, ref = self._both(lambda: _map_point(line, DEFAULT_DT_DIVISOR),
+                              monkeypatch)
+        self._check("gaussian map 4 uA, 10 GHz", {"eta": abs(run - ref)})
+
+
 def test_single_fluxon_spectral_drift_is_the_grid(monkeypatch):
     """At the default step, single_fluxon's f0 and FWHM are those of an
     integrator k times finer sampled on the default step's grid, to within

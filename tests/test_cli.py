@@ -250,7 +250,7 @@ class TestRun:
          "n_pairs makes more pulses than a record of at most 1e+08 "
          "integrator steps can hold"),
         ("flat_top", "n_pairs = 10000000\nspacing_multiple = 1e-6",
-         f"the train's 20000000 pulses outnumber the {_steps(1931)} integrator "
+         f"the train's 20000000 pulses outnumber the {_steps(2059)} integrator "
          "steps"),
         # a count no float can hold
         pytest.param("flat_top", "n_pairs = " + "9" * 400,

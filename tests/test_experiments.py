@@ -3,7 +3,9 @@
 import dataclasses
 import functools
 import json
+import logging
 import math
+import warnings
 
 import pytest
 
@@ -23,6 +25,7 @@ from jtlpulse.experiments import (
     TABLE1_FLAT_TOP,
     TABLE1_GAUSSIAN,
     ScenarioError,
+    check_scenario,
     run_bandwidth_sweep,
     run_efficiency_map,
     run_flat_top,
@@ -140,13 +143,15 @@ class TestSpacingMultiple:
     # (f0, fwhm, eta, band power) of run_flat_top(n_pairs=6,
     # spacing_multiple=m), recorded when only odd integers were accepted,
     # re-recorded once, eta unchanged, when psd moved to 7-smooth lengths
-    # and interpolated observables, and once more when the default step
-    # went from a 200th to a 140th of the plasma period
+    # and interpolated observables, once more when the default step went
+    # from a 200th to a 140th of the plasma period, and once more when the
+    # first settle tail went from 30 plasma periods to 16 (the spectrum
+    # window zero-extended past it)
     GOLDEN = {
-        1: (19467089003.780407, 3124691700.937729, 0.012322469402995227,
-            -75.57253446893935),
-        3: (6545456032.468168, 1049819422.0392561, 0.014998652854242562,
-            -80.95448541442352),
+        1: (19467088982.227364, 3124691698.6601562, 0.012322469402995227,
+            -75.57253447152462),
+        3: (6545456040.678778, 1049819431.1813669, 0.014998652854242553,
+            -80.95448538675794),
     }
 
     @pytest.mark.parametrize("m", [1, 3, 1.0, 3.0])
@@ -330,6 +335,61 @@ class TestOneTransform:
             run_flat_top(n_pairs=5)
 
 
+class TestSpectrumWindow:
+    """A train's spectrum is read over its drive plus WINDOW_PERIODS plasma
+    periods whatever horizon its record settled at: the record
+    zero-extended to the window, or the whole record if it ran longer."""
+
+    @pytest.fixture
+    def records(self, monkeypatch):
+        """(settled record, psd's input) of every train point run."""
+        records, trajs = [], []
+        settle = experiments._settle_train
+
+        def settling(*args):
+            traj, e_in = settle(*args)
+            trajs.append(traj)
+            return traj, e_in
+
+        def recording(signal, dt, **kwargs):
+            records.append((trajs[-1], signal))
+            return psd(signal, dt, **kwargs)
+
+        monkeypatch.setattr(experiments, "_settle_train", settling)
+        monkeypatch.setattr(experiments, "psd", recording)
+        return records
+
+    @pytest.mark.parametrize("runner", [
+        pytest.param(run_flat_top, id="flat_top"),
+        pytest.param(run_gaussian, id="gaussian"),
+        pytest.param(lambda: run_bandwidth_sweep([50]).runs[0], id="bandwidth_sweep"),
+    ])
+    def test_window_is_that_of_a_whole_first_tail(self, monkeypatch, records, runner):
+        runner()
+        monkeypatch.setattr(experiments, "TAIL_PERIODS", experiments.WINDOW_PERIODS)
+        runner()
+        (traj, settled), (whole_traj, whole) = records
+        assert settled.size == whole.size
+        # the settled record stops short of the window; zeros make up the rest
+        q = experiments._band_stride(traj.derived, traj.dt, whole_traj.times.size)
+        kept = -(-traj.times.size // q)
+        assert kept < settled.size
+        assert not settled[kept:].any()
+        assert settled[:kept].tobytes() == (
+            traj.v_nodeN[::q] / math.sqrt(traj.circuit.z_out)).tobytes()
+
+    def test_a_record_past_the_window_is_read_whole(self, records):
+        # a lightly damped line settles past the window
+        run_flat_top(3e-6, 2 * math.pi * 15e9, 3, r_n=1e3)
+        ((traj, signal),) = records
+        t_window = traj.drive_end + experiments.WINDOW_PERIODS * (
+            2 * math.pi / traj.derived.omega_p)
+        assert traj.times[-1] > t_window
+        q = experiments._band_stride(traj.derived, traj.dt, traj.times.size)
+        assert signal.tobytes() == (
+            traj.v_nodeN[::q] / math.sqrt(traj.circuit.z_out)).tobytes()
+
+
 class TestBandwidthSweep:
     def test_list_validation(self):
         with pytest.raises(ScenarioError):
@@ -454,6 +514,17 @@ class TestScenarioDispatch:
         with pytest.raises(ScenarioError, match="dt_divisor"):
             run_scenario("flat_top", {"dt_divisor": 99})
 
+    @pytest.mark.parametrize("scenario", ["table1", "flat_top"])
+    @pytest.mark.parametrize("entry", [check_scenario, run_scenario])
+    def test_unknown_key_is_refused_by_name(self, monkeypatch, entry, scenario):
+        # the same message from both entries, for a runner with or without
+        # an input check of its own, before anything integrates
+        monkeypatch.setattr(experiments, "simulate", None)
+        with pytest.raises(
+            ScenarioError, match=f"^scenario '{scenario}' takes no parameter 'bogus'$"
+        ):
+            entry(scenario, {"bogus": 1})
+
     def test_table_constants_shape(self):
         assert len(TABLE1_FLAT_TOP) == 4
         assert len(TABLE1_GAUSSIAN) == 4
@@ -551,10 +622,10 @@ class TestSettle:
             circuit, train, t_tail0, dt_divisor=200
         )
         assert horizons == pytest.approx(
-            [train.duration + k * t_tail0 for k in (1, 2, 4)], rel=1e-12
+            [train.duration + 2**k * t_tail0 for k in range(8)], rel=1e-12
         )
         assert traj.times[-1] >= horizons[-1]
-        assert traj.stored_energy()[-1] <= 1e-3 * e_in
+        assert traj.stored_energy()[-1] <= experiments.SETTLED * e_in
         assert e_in == forward_energy(
             traj.v_node1, traj.i_in, circuit.z_in, traj.times
         )
@@ -565,6 +636,38 @@ class TestSettle:
             experiments._simulate_settled(
                 circuit, train, t_tail0, dt_divisor=200, max_extensions=0
             )
+
+    @staticmethod
+    def _default_tail(circuit):
+        return experiments.TAIL_PERIODS * 2 * math.pi / derive(circuit).omega_p
+
+    def _default_settle(self, circuit, train):
+        return experiments._simulate_settled(
+            circuit, train, self._default_tail(circuit),
+            dt_divisor=DEFAULT_DT_DIVISOR)
+
+    def test_slow_line_settles_from_the_default_tail(self, case):
+        # _settle_train's first tail on this slowly ringing line settles
+        # under SETTLED within MAX_EXTENSIONS, and so without a warning
+        circuit, train, _ = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj, e_in = self._default_settle(circuit, train)
+        assert traj.final_stored_energy() <= experiments.SETTLED * e_in
+
+    def test_each_horizon_is_logged(self, case, caplog):
+        circuit, train, _ = case
+        caplog.set_level(logging.DEBUG, logger="jtlpulse.experiments")
+        traj, e_in = self._default_settle(circuit, train)
+        logged = [(r.settle_extension, r.settle_t_end, r.settle_residual)
+                  for r in caplog.records if r.name == "jtlpulse.experiments"]
+        tail = self._default_tail(circuit)
+        assert [k for k, _, _ in logged] == list(range(len(logged)))
+        assert len(logged) > 1
+        assert [t for _, t, _ in logged] == pytest.approx(
+            [train.duration + 2**k * tail for k, _, _ in logged], rel=1e-12)
+        assert all(r > experiments.SETTLED for _, _, r in logged[:-1])
+        assert logged[-1][2] == traj.final_stored_energy() / e_in
 
 
 class TestRecordBound:

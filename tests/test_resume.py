@@ -105,8 +105,8 @@ class TestBandwidthSweep:
     # the default sweep on the compiled loop; a (3, 6)-pair sweep on the
     # numpy loop, whose pace would make the default one the suite's slowest;
     # columns and steps at a two-hundredth of the plasma period a step
-    CASES = {"compiled": ((50, 100, 200, 500), [0, 9592, 19592, 39592], 125_412),
-             "numpy": ((3, 6), [0, 192], 6_647 + 7_055)}
+    CASES = {"compiled": ((50, 100, 200, 500), [0, 9592, 19592, 39592], 114_212),
+             "numpy": ((3, 6), [0, 192], 3_847 + 4_255)}
 
     def test_points_resume_where_the_trains_part(self, spy, recorded):
         n_pairs, starts, steps = self.CASES[spy.name]
@@ -125,7 +125,7 @@ class TestSettleExtension:
         # a short first tail on a lightly damped line forces extensions
         settle = experiments._simulate_settled
         monkeypatch.setattr(experiments, "_simulate_settled",
-                            lambda c, train, tail, **kw: settle(c, train, tail / 100, **kw))
+                            lambda c, train, tail, **kw: settle(c, train, tail / 2, **kw))
         experiments.run_flat_top(3e-6, 2 * math.pi * 15e9, 3, r_n=1e3)
         ends = [traj.times.size - 1 for _, _, traj in recorded]
         assert len(ends) == 4
