@@ -269,8 +269,8 @@ def _settle_train(
     circuit: CircuitParams, derived: DerivedParams, width: float,
     spacing: float, envelope: PhaseEnvelope, dt_divisor: int,
 ) -> tuple[Trajectory, float]:
-    """Compile a checked train (``_check_train``'s return) and run it until
-    it has settled; returns (trajectory, injected forward energy e_in > 0)."""
+    """Compile a point's checked train ``line`` and run it until it has
+    settled; returns (trajectory, injected forward energy e_in > 0)."""
     train = compile_envelope(envelope, spacing, width, t_start=5.0 * width)
     t_tail0 = TAIL_PERIODS * 2.0 * math.pi / derived.omega_p
     traj, e_in = _simulate_settled(circuit, train, t_tail0, dt_divisor=dt_divisor)
@@ -295,8 +295,7 @@ def _checked_by(check):
     arguments before anything else runs: by the runner itself, ``locals()``
     as its first statement, or by run_fluxoid_train for the train runners
     that hand it theirs.  ``runner.check(*args, **kwargs)`` applies it alone
-    to a call's ``_arguments``: validate does, and so does a runner that
-    calls runners, for all those calls before the first."""
+    to a call's ``_arguments``, as validate does."""
 
     def register(runner):
         runner.check = lambda *args, **kw: check(_arguments(runner, *args, **kw))
@@ -305,21 +304,15 @@ def _checked_by(check):
     return register
 
 
-def _train_arguments(a: dict) -> dict:
-    """run_fluxoid_train's arguments by name for the arguments ``a`` of a
-    train runner, the ``kwargs`` it hands on included."""
-    own = {k: v for k, v in a.items() if k != "kwargs"}
-    return _arguments(run_fluxoid_train, **own, **a.get("kwargs", {}))
-
-
-def _check_train(
-    a: dict,
-) -> tuple[CircuitParams, DerivedParams, float, float, PhaseEnvelope]:
+def _check_train(a: dict) -> tuple[dict, tuple]:
     """Refuse the arguments ``a`` of a train runner, the ``kwargs`` that
     run_flat_top and run_gaussian hand on to run_fluxoid_train included;
-    returns the line, its derived scales, the drive pulse width, the pulse
-    spacing and the phase envelope the run is built from."""
-    t = _train_arguments(a)
+    returns the point (t, line) every train measurement takes: ``t`` is
+    run_fluxoid_train's arguments by name, ``line`` the line, its derived
+    scales, the drive pulse width, the pulse spacing and the phase envelope."""
+    own = {k: v for k, v in a.items() if k != "kwargs"}
+    t = _arguments(run_fluxoid_train, **own, **a.get("kwargs", {}))
+    check_overrides(t)
     if t["n_pairs"] < 1:
         raise ScenarioError(f"n_pairs must be >= 1, got {t['n_pairs']}")
     if t["drive_model"] not in ("source", "incident"):
@@ -367,7 +360,7 @@ def _check_train(
         envelope = PhaseEnvelope.gaussian(m, peak=theta, sigma=t["sigma"])
     else:
         envelope = PhaseEnvelope.flat_top(m, theta)
-    return circuit, derived, width, spacing, envelope
+    return t, (circuit, derived, width, spacing, envelope)
 
 
 def run_fluxoid_train(
@@ -400,14 +393,12 @@ def run_fluxoid_train(
     30.71 ps at 3 uA, since the sech extent above a tenth of its peak spans
     ~2 pi time constants.
     """
-    line = _check_train(locals())
-    return _measure_train(locals(), line)
+    return _measure_train(*_check_train(locals()))
 
 
 def _measure_train(t: dict, line: tuple) -> RunResult:
-    """Settle the checked train ``line`` (``_check_train``'s return) and
-    measure spectrum and power; ``t`` holds run_fluxoid_train's arguments
-    by name, which the run's config echoes."""
+    """Settle the checked point (t, line) (``_check_train``'s return) and
+    measure spectrum and power; the run's config echoes ``t``."""
     circuit, derived, width, spacing, envelope = line
     traj, e_in = _settle_train(*line, t["dt_divisor"])
     seq_duration = (len(envelope.theta) + 1) * spacing
@@ -482,6 +473,7 @@ def run_gaussian(
 def _check_single_fluxon(a: dict) -> list[tuple[float, CircuitParams, float]]:
     """Refuse the arguments ``a`` of run_single_fluxon; returns (alpha_out,
     line, sech time constant of the injected fluxon) of each point."""
+    check_overrides(a)
     alphas = [float(x) for x in np.atleast_1d(a["alpha_out"])]
     if not alphas or any(not 0.05 < x <= 1.0 for x in alphas):
         raise ScenarioError(
@@ -589,8 +581,8 @@ def _classify_regime(
 
 def _check_bandwidth_sweep(a: dict) -> list[tuple[dict, tuple]]:
     """Refuse the arguments ``a`` of run_bandwidth_sweep, each point's
-    run_flat_top call included; returns each point's run_fluxoid_train
-    arguments and ``_check_train`` result, in sweep order."""
+    run_flat_top call included; returns each point's ``_check_train``
+    result, in sweep order."""
     for n in a["n_pairs_list"]:
         if not float(n).is_integer():
             raise ScenarioError(f"n_pairs_list value {n!r} is not a whole number")
@@ -599,13 +591,11 @@ def _check_bandwidth_sweep(a: dict) -> list[tuple[dict, tuple]]:
         raise ScenarioError("n_pairs_list must be non-empty and ascending")
     require_positive("f_plasma", a["f_plasma"])
     omega_p = 2.0 * math.pi * a["f_plasma"]
-    points = []
-    for n_pairs in n_list:
-        t = _train_arguments(_arguments(
-            run_flat_top, a["i_c"], omega_p, n_pairs, lambda_j=a["lambda_j"],
-            **a["kwargs"]))
-        points.append((t, _check_train(t)))
-    return points
+    return [
+        _check_train(_arguments(run_flat_top, a["i_c"], omega_p, n_pairs,
+                                lambda_j=a["lambda_j"], **a["kwargs"]))
+        for n_pairs in n_list
+    ]
 
 
 @_checked_by(_check_bandwidth_sweep)
@@ -646,19 +636,19 @@ def _map_run(
             "drive_model": "incident", "dt_divisor": dt_divisor}
 
 
-def _map_point(line: tuple, dt_divisor: int) -> float:
-    """eta = e_out / e_in of the map point whose checked train is ``line``,
-    by run_fluxoid_train's calls, so bit for bit its ``.eta``.  The map
-    keeps nothing else of a point, so it takes no spectrum."""
-    traj, e_in = _settle_train(*line, dt_divisor)
+def _map_point(t: dict, line: tuple) -> float:
+    """eta = e_out / e_in of the checked map point (t, line), by
+    run_fluxoid_train's calls, so bit for bit its ``.eta``.  The map keeps
+    nothing else of a point, so it takes no spectrum."""
+    traj, e_in = _settle_train(*line, t["dt_divisor"])
     return forward_energy(traj.v_nodeN, traj.i_out, traj.circuit.z_out,
                           traj.times) / e_in
 
 
-def _check_efficiency_map(a: dict) -> list[tuple]:
+def _check_efficiency_map(a: dict) -> list[tuple[dict, tuple]]:
     """Refuse the arguments ``a`` of run_efficiency_map, each grid point's
-    runner call included, before any point is integrated; returns each
-    point's ``_check_train`` result, omega_p the outer loop."""
+    runner call included; returns each point's ``_check_train`` result,
+    omega_p the outer loop."""
     i_c_grid = [float(x) for x in a["i_c_grid"]]
     omega_p_grid = [float(x) for x in a["omega_p_grid"]]
     if not i_c_grid or not omega_p_grid:
@@ -692,19 +682,15 @@ def run_efficiency_map(
     dt_divisor: int = DEFAULT_DT_DIVISOR,
 ) -> ScenarioReport:
     """Energy-efficiency matrix over (i_c, omega_p) for one protocol."""
-    lines = _check_efficiency_map(locals())
+    points = _check_efficiency_map(locals())
     i_c_grid = [float(x) for x in i_c_grid]
     omega_p_grid = [float(x) for x in omega_p_grid]
-    points = [(i_c, omega_p) for omega_p in omega_p_grid for i_c in i_c_grid]
-    etas = [_map_point(line, dt_divisor) for line in lines]
-    runs = []
-    for (i_c, omega_p), value in zip(points, etas):
-        config = {
-            "protocol": protocol, "i_c": i_c, "omega_p": omega_p,
-            "alpha_in": alpha_in, "damping_quality": damping_quality,
-        }
-        runs.append(RunResult(config=config, eta=value))
-    eta = np.array(etas).reshape(len(omega_p_grid), len(i_c_grid)).T
+    runs = tuple(RunResult(config={
+        "protocol": protocol, "i_c": t["i_c"], "omega_p": t["omega_p"],
+        "alpha_in": alpha_in, "damping_quality": damping_quality,
+    }, eta=_map_point(t, line)) for t, line in points)
+    eta = np.array([run.eta for run in runs]).reshape(
+        len(omega_p_grid), len(i_c_grid)).T
     provenance = {
         "scenario": "efficiency_map", "protocol": protocol,
         "i_c_grid": i_c_grid, "omega_p_grid": omega_p_grid,
@@ -712,16 +698,30 @@ def run_efficiency_map(
         "eta_max": float(np.nanmax(eta)),
         "eta_matrix": eta.tolist(),
     }
-    return ScenarioReport(scenario="efficiency_map", runs=tuple(runs),
+    return ScenarioReport(scenario="efficiency_map", runs=runs,
                           provenance=provenance)
 
 
-def _table1_row(row, protocol: str, dt_divisor: int) -> RunResult:
-    i_c, l, c_j, n_pairs, f0_ghz, fwhm_mhz, p_in_nw, p_band_dbm = row
-    l_j = PHI0 / (2.0 * math.pi * i_c)
-    omega_p = 1.0 / math.sqrt(l_j * c_j)
-    run = SCENARIOS[protocol](i_c, omega_p, n_pairs, l=l, c_j=c_j,
-                              dt_divisor=dt_divisor)
+def _check_table1(a: dict) -> list[tuple[dict, tuple]]:
+    """Refuse the arguments ``a`` of run_table1, each row's runner call
+    included; returns each row's ``_check_train`` result, flat-top rows
+    first.  A row's omega_p is that of its junction, 1 / sqrt(l_j c_j)."""
+    return [
+        _check_train(_arguments(
+            SCENARIOS[protocol], i_c,
+            1.0 / math.sqrt(PHI0 / (2.0 * math.pi * i_c) * c_j), n_pairs,
+            l=l, c_j=c_j, dt_divisor=a["dt_divisor"]))
+        for protocol, rows in (("flat_top", TABLE1_FLAT_TOP),
+                               ("gaussian", TABLE1_GAUSSIAN))
+        for i_c, l, c_j, n_pairs, *_ in rows
+    ]
+
+
+def _table1_row(row, t: dict, line: tuple) -> RunResult:
+    """Measure the checked point (t, line) of the Table-1 ``row`` and hold
+    it to the row's targets."""
+    *_, f0_ghz, fwhm_mhz, p_in_nw, p_band_dbm = row
+    run = _measure_train(t, line)
     tol = TABLE1_TOLERANCES
     checks = {
         "f0": abs(run.f0 / 1e9 - f0_ghz) <= tol["f0"] * f0_ghz,
@@ -733,18 +733,19 @@ def _table1_row(row, protocol: str, dt_divisor: int) -> RunResult:
     }
     targets = {"f0_ghz": f0_ghz, "fwhm_mhz": fwhm_mhz, "p_in_nw": p_in_nw,
                "p_band_dbm": p_band_dbm}
-    config = {**run.config, "protocol": protocol, "targets": targets, "checks": checks}
+    config = {**run.config, "protocol": t["shape"], "targets": targets, "checks": checks}
     return replace(
         run, config=config, spectrum=None, passed=all(checks.values()),
         notes=", ".join(k for k, ok in checks.items() if not ok),
     )
 
 
+@_checked_by(_check_table1)
 def run_table1(dt_divisor: int = DEFAULT_DT_DIVISOR) -> ScenarioReport:
     """All eight performance-table rows with per-row pass/fail."""
-    tasks = [(row, "flat_top", dt_divisor) for row in TABLE1_FLAT_TOP]
-    tasks += [(row, "gaussian", dt_divisor) for row in TABLE1_GAUSSIAN]
-    runs = tuple(_table1_row(*task) for task in tasks)
+    points = _check_table1(locals())
+    runs = tuple(_table1_row(row, *point) for row, point in zip(
+        TABLE1_FLAT_TOP + TABLE1_GAUSSIAN, points, strict=True))
     provenance = {"scenario": "table1", "tolerances": TABLE1_TOLERANCES,
                   "n_rows": len(runs)}
     return ScenarioReport(scenario="table1", runs=runs, provenance=provenance)
@@ -771,10 +772,10 @@ def scenario_parameters(scenario: str) -> dict[str, object]:
     A runner taking ``**kwargs`` hands them on to run_fluxoid_train, so it
     also takes that function's keyword-only parameters.
     """
-    sig = inspect.signature(SCENARIOS[scenario], eval_str=True)
+    sig = _signature(SCENARIOS[scenario], eval_str=True)
     params = {}
     if any(p.kind is p.VAR_KEYWORD for p in sig.parameters.values()):
-        train = inspect.signature(run_fluxoid_train, eval_str=True)
+        train = _signature(run_fluxoid_train, eval_str=True)
         params = {name: p.annotation for name, p in train.parameters.items()
                   if p.kind is p.KEYWORD_ONLY}
     params.update({name: p.annotation for name, p in sig.parameters.items()
@@ -816,9 +817,7 @@ def check_scenario(scenario: str, overrides: dict) -> None:
     """Refuse, without running anything, every input that
     ``run_scenario(scenario, overrides)`` refuses before any point
     integrates, with the same exception and message."""
-    check = getattr(_checked_runner(scenario, overrides), "check", None)
-    if check is not None:  # table1 takes only the run settings
-        check(**overrides)
+    _checked_runner(scenario, overrides).check(**overrides)
 
 
 def run_scenario(scenario: str, overrides: dict) -> ScenarioReport:

@@ -36,6 +36,12 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
 
 
+def _table1_run(row, dt_divisor=DEFAULT_DT_DIVISOR):
+    """The run_table1 run of ``row``, measured from run_table1's own check."""
+    point = run_table1.check(dt_divisor)[(TABLE1_FLAT_TOP + TABLE1_GAUSSIAN).index(row)]
+    return _table1_row(row, *point)
+
+
 def test_criterion_1_parameter_derivation():
     """Derived lambda_J and plasma frequency match every table row to 1%."""
     rows = [(r, 3.17) for r in TABLE1_FLAT_TOP] + [
@@ -239,7 +245,7 @@ class TestCriterion8Properties:
         runs = []
         for divisor in (100, 200, 400, 800):
             solver.forget_last_run()
-            runs.append(_table1_row(row, protocol, divisor))
+            runs.append(_table1_run(row, divisor))
         f0s = [r.f0 for r in runs]
         fwhms = [r.fwhm for r in runs]
         bands = [r.power.band_power_dbm for r in runs]
@@ -353,7 +359,7 @@ class TestStepBudget:
     )
     def test_table1_row(self, monkeypatch, protocol, row):
         errors = self._train_errors(
-            lambda divisor: _table1_row(row, protocol, divisor), monkeypatch)
+            lambda divisor: _table1_run(row, divisor), monkeypatch)
         self._check(f"table1 {protocol} {row[0] * 1e6:g} uA", errors, STEP_BUDGET)
 
     def test_bandwidth_sweep_50_pairs(self, monkeypatch):
@@ -369,7 +375,7 @@ class TestStepBudget:
             solver.forget_last_run()
             kwargs = _map_run(4e-6, 2 * math.pi * 10e9, MAP_ALPHA_IN,
                               MAP_DAMPING_QUALITY, divisor)
-            return _map_point(SCENARIOS["gaussian"].check(**kwargs), divisor)
+            return _map_point(*SCENARIOS["gaussian"].check(**kwargs))
 
         errors = {"eta": abs(eta(DEFAULT_DT_DIVISOR) - eta(STEP_REFERENCE))}
         self._check("gaussian map 4 uA, 10 GHz", errors, STEP_BUDGET)
@@ -449,7 +455,7 @@ class TestSettleBudget:
     def test_table1_row(self, monkeypatch, protocol, row):
         self._check_train(
             f"table1 {protocol} {row[0] * 1e6:g} uA",
-            lambda: _table1_row(row, protocol, DEFAULT_DT_DIVISOR), monkeypatch)
+            lambda: _table1_run(row), monkeypatch)
 
     def test_bandwidth_sweep_50_pairs(self, monkeypatch):
         self._check_train("bandwidth_sweep 50 pairs",
@@ -458,9 +464,8 @@ class TestSettleBudget:
     def test_gaussian_map_point(self, monkeypatch):
         kwargs = _map_run(4e-6, 2 * math.pi * 10e9, MAP_ALPHA_IN,
                           MAP_DAMPING_QUALITY, DEFAULT_DT_DIVISOR)
-        line = SCENARIOS["gaussian"].check(**kwargs)
-        run, ref = self._both(lambda: _map_point(line, DEFAULT_DT_DIVISOR),
-                              monkeypatch)
+        point = SCENARIOS["gaussian"].check(**kwargs)
+        run, ref = self._both(lambda: _map_point(*point), monkeypatch)
         self._check("gaussian map 4 uA, 10 GHz", {"eta": abs(run - ref)})
 
 

@@ -393,6 +393,8 @@ PRE_RUN_REFUSALS = [
     pytest.param("[scenario]\nid = flat_top\n[solver]\ndt_divisor = " + "9" * 400
                  + "\n", "dt_divisor must be <= 100000000",
                  id="dt_divisor-400-digits"),
+    pytest.param("[scenario]\nid = table1\n[solver]\ndt_divisor = 10000000\n",
+                 "the run's record could reach", id="table1-record"),
 ]
 
 

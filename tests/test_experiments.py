@@ -32,6 +32,7 @@ from jtlpulse.experiments import (
     run_gaussian,
     run_scenario,
     run_single_fluxon,
+    run_table1,
     _jtl_length,
 )
 from jtlpulse.circuit import PHI0
@@ -175,6 +176,12 @@ def _derived(lambda_j, f_p=15e9):
     return derive(solve_geometry(3e-6, lambda_j, 2 * math.pi * f_p, 5.0, 0.25, 5))
 
 
+def _table1_run(row, dt_divisor=DEFAULT_DT_DIVISOR):
+    """The run_table1 run of ``row``, measured from run_table1's own check."""
+    point = run_table1.check(dt_divisor)[(TABLE1_FLAT_TOP + TABLE1_GAUSSIAN).index(row)]
+    return experiments._table1_row(row, *point)
+
+
 class TestBandStride:
     @pytest.mark.parametrize(
         "lambda_j, dt_divisor, q",
@@ -239,7 +246,7 @@ class TestSignalBand:
         ids=["flat_top_3uA", "gaussian_6uA"],
     )
     def test_table1_row(self, trajectories, protocol, row):
-        run = experiments._table1_row(row, protocol, DEFAULT_DT_DIVISOR)
+        run = _table1_run(row)
         traj = trajectories[-1]
         a_out = traj.v_nodeN / math.sqrt(traj.circuit.z_out)
         # the Gaussian rows' multi-quantum pulses reach above the band top
@@ -290,10 +297,8 @@ class TestOneTransform:
 
     @pytest.mark.parametrize("point", [
         pytest.param(lambda: run_flat_top(), id="run_flat_top"),
-        pytest.param(lambda: experiments._table1_row(
-            TABLE1_FLAT_TOP[0], "flat_top", DEFAULT_DT_DIVISOR), id="table1_flat_top"),
-        pytest.param(lambda: experiments._table1_row(
-            TABLE1_GAUSSIAN[0], "gaussian", DEFAULT_DT_DIVISOR), id="table1_gaussian"),
+        pytest.param(lambda: _table1_run(TABLE1_FLAT_TOP[0]), id="table1_flat_top"),
+        pytest.param(lambda: _table1_run(TABLE1_GAUSSIAN[0]), id="table1_gaussian"),
         pytest.param(lambda: run_single_fluxon(0.25), id="single_fluxon"),
     ])
     def test_one_esd_per_point(self, esd_calls, point):
@@ -312,7 +317,7 @@ class TestOneTransform:
         ids=["flat_top_3uA", "gaussian_6uA"],
     )
     def test_table1_row_band_power(self, band_records, protocol, row):
-        run = experiments._table1_row(row, protocol, DEFAULT_DT_DIVISOR)
+        run = _table1_run(row)
         ((a_band, dt_band),) = band_records
         self._assert_record_level(run, a_band, dt_band)
 
@@ -461,19 +466,19 @@ class TestEfficiencyMap:
     def test_map_point_eta_is_the_runners(self, protocol, i_c, f_p):
         runner = experiments.SCENARIOS[protocol]
         kwargs = self._map_call(i_c, f_p)
-        eta = experiments._map_point(runner.check(**kwargs), DEFAULT_DT_DIVISOR)
+        eta = experiments._map_point(*runner.check(**kwargs))
         solver.forget_last_run()
         assert eta == runner(**kwargs).eta
 
     def test_map_point_carries_a_spacing_multiple(self):
         kwargs = {**self._map_call(3e-6, 26e9), "spacing_multiple": 0.9}
-        line = run_flat_top.check(**kwargs)
+        t, line = run_flat_top.check(**kwargs)
         assert line[3] == schedule_spacing(line[1], 0.9)
-        eta = experiments._map_point(line, DEFAULT_DT_DIVISOR)
+        eta = experiments._map_point(t, line)
         solver.forget_last_run()
         assert eta == run_flat_top(**kwargs).eta
         default = run_flat_top.check(**self._map_call(3e-6, 26e9))
-        assert eta != experiments._map_point(default, DEFAULT_DT_DIVISOR)
+        assert eta != experiments._map_point(*default)
 
     def test_map_checks_each_point_once_and_builds_no_spectrum(self, monkeypatch):
         calls = {"psd": 0, "esd": 0, "_check_train": 0}
@@ -494,6 +499,68 @@ class TestEfficiencyMap:
         report = run_efficiency_map(*grid, "gaussian")
         assert len(report.runs) == 4
         assert calls == {"psd": 0, "esd": 0, "_check_train": 4}
+
+
+class TestGridChecks:
+    """Every grid checks each of its points once, all of them before the
+    first point integrates, and hands the checked points to its measurement."""
+
+    @pytest.mark.parametrize("run, points", [
+        pytest.param(lambda: run_table1(), 8, id="table1"),
+        pytest.param(lambda: run_bandwidth_sweep([3, 6]), 2, id="bandwidth_sweep"),
+        pytest.param(lambda: run_efficiency_map(
+            [2e-6, 3e-6], [2 * math.pi * f for f in (22e9, 26e9)]), 4,
+            id="efficiency_map"),
+    ])
+    def test_every_point_is_checked_before_the_first_settles(
+        self, monkeypatch, run, points
+    ):
+        checks = []
+        check = experiments._check_train
+
+        def counting(a):
+            checks.append(a)
+            return check(a)
+
+        class Settled(Exception):
+            pass
+
+        def first_settle(*args):
+            raise Settled(len(checks))
+
+        monkeypatch.setattr(experiments, "_check_train", counting)
+        monkeypatch.setattr(experiments, "_settle_train", first_settle)
+        with pytest.raises(Settled) as settled:
+            run()
+        assert settled.value.args == (points,)
+
+    def test_every_scenario_has_a_check(self):
+        for scenario, runner in experiments.SCENARIOS.items():
+            assert callable(getattr(runner, "check", None)), scenario
+
+    @pytest.mark.parametrize("divisor", [50, 10**400], ids=["50", "400_digits"])
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda d: experiments.run_fluxoid_train(
+            4e-6, 2 * math.pi * 20e9, 2, dt_divisor=d), id="run_fluxoid_train"),
+        pytest.param(lambda d: run_flat_top(n_pairs=2, dt_divisor=d), id="run_flat_top"),
+        pytest.param(lambda d: run_gaussian(n_pairs=2, dt_divisor=d), id="run_gaussian"),
+        pytest.param(lambda d: run_bandwidth_sweep([2], dt_divisor=d),
+                     id="run_bandwidth_sweep"),
+        pytest.param(lambda d: run_efficiency_map(
+            [2e-6], [2 * math.pi * 22e9], dt_divisor=d), id="run_efficiency_map"),
+        pytest.param(lambda d: run_single_fluxon((0.2,), dt_divisor=d),
+                     id="run_single_fluxon"),
+        pytest.param(lambda d: run_table1(d), id="run_table1"),
+    ])
+    def test_library_calls_refuse_a_bad_step(self, monkeypatch, run, divisor):
+        # the run setting is refused as the CLI refuses it, before any
+        # float arithmetic on it and before anything integrates
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulate called with a bad dt_divisor")
+
+        monkeypatch.setattr(experiments, "simulate", no_simulate)
+        with pytest.raises(ScenarioError, match="^dt_divisor must be [<>]= "):
+            run(divisor)
 
 
 class TestScenarioDispatch:
@@ -517,8 +584,8 @@ class TestScenarioDispatch:
     @pytest.mark.parametrize("scenario", ["table1", "flat_top"])
     @pytest.mark.parametrize("entry", [check_scenario, run_scenario])
     def test_unknown_key_is_refused_by_name(self, monkeypatch, entry, scenario):
-        # the same message from both entries, for a runner with or without
-        # an input check of its own, before anything integrates
+        # the same message from both entries, for a grid runner and a
+        # single-point runner, before anything integrates
         monkeypatch.setattr(experiments, "simulate", None)
         with pytest.raises(
             ScenarioError, match=f"^scenario '{scenario}' takes no parameter 'bogus'$"
