@@ -215,38 +215,35 @@ def _require_record(t_end: float, t_plasma: float, dt_divisor: int) -> float:
 
 
 def _simulate_settled(
-    circuit: CircuitParams,
-    train: PulseTrain,
-    t_tail0: float,
-    *,
-    dt_divisor: int,
-    max_extensions: int = MAX_EXTENSIONS,
+    circuit: CircuitParams, derived: DerivedParams, width: float,
+    spacing: float, envelope: PhaseEnvelope, dt_divisor: int,
 ) -> tuple[Trajectory, float]:
-    """Run ``train`` to t_tail0 past its drive, then double that tail until
-    the energy stored in the line at the record's end is at most SETTLED
-    of the injected forward energy e_in, at most ``max_extensions`` times;
-    returns (trajectory, e_in).  Each extension integrates only its added
-    tail (``simulate`` resumes its last run), and each horizon's t_end and
-    residual / e_in are logged at DEBUG."""
-    derived = derive(circuit)
-    t_plasma = 2.0 * math.pi / derived.omega_p
-    dt = t_plasma / dt_divisor
-    t_end = train.duration + t_tail0
-    for extension in range(max_extensions + 1):
+    """Compile a point's checked train ``line`` and run it TAIL_PERIODS
+    plasma periods past its drive, then double that tail, at most
+    MAX_EXTENSIONS times, until the energy stored in the line at the
+    record's end is at most SETTLED of the injected forward energy e_in;
+    returns (trajectory, e_in > 0).  Each extension integrates only its
+    added tail (``simulate`` resumes its last run), and each horizon's t_end
+    and residual / e_in are logged at DEBUG."""
+    train = compile_envelope(envelope, spacing, width, t_start=5.0 * width)
+    dt = 2.0 * math.pi / derived.omega_p / dt_divisor
+    t_end = train.duration + TAIL_PERIODS * 2.0 * math.pi / derived.omega_p
+    for extension in range(MAX_EXTENSIONS + 1):
         traj = simulate(circuit, train, t_end, dt)
         e_in = forward_energy(traj.v_node1, traj.i_in, circuit.z_in, traj.times)
+        if e_in <= 0.0:
+            raise AnalysisError("zero input energy; efficiency undefined")
         residual = traj.final_stored_energy()
-        ratio = residual / e_in if e_in > 0.0 else math.nan
         _log.debug("settle horizon %d: t_end %.6g s, residual %.3g of e_in",
-                   extension, t_end, ratio,
+                   extension, t_end, residual / e_in,
                    extra={"settle_extension": extension, "settle_t_end": t_end,
-                          "settle_residual": ratio})
-        if e_in <= 0.0 or residual <= SETTLED * e_in:
+                          "settle_residual": residual / e_in})
+        if residual <= SETTLED * e_in:
             return traj, e_in
         t_end = train.duration + (t_end - train.duration) * 2.0
     warnings.warn(
         f"stored energy residual {residual / e_in:.2e} of injected after "
-        f"{max_extensions} horizon extensions",
+        f"{MAX_EXTENSIONS} horizon extensions",
         stacklevel=2,
     )
     return traj, e_in
@@ -263,20 +260,6 @@ def _band_window(traj: Trajectory) -> tuple[np.ndarray, float]:
     q = _band_stride(traj.derived, traj.dt, size)
     band = traj.v_nodeN[::q] / math.sqrt(traj.circuit.z_out)
     return np.concatenate((band, np.zeros(-(-size // q) - band.size))), traj.dt * q
-
-
-def _settle_train(
-    circuit: CircuitParams, derived: DerivedParams, width: float,
-    spacing: float, envelope: PhaseEnvelope, dt_divisor: int,
-) -> tuple[Trajectory, float]:
-    """Compile a point's checked train ``line`` and run it until it has
-    settled; returns (trajectory, injected forward energy e_in > 0)."""
-    train = compile_envelope(envelope, spacing, width, t_start=5.0 * width)
-    t_tail0 = TAIL_PERIODS * 2.0 * math.pi / derived.omega_p
-    traj, e_in = _simulate_settled(circuit, train, t_tail0, dt_divisor=dt_divisor)
-    if e_in <= 0.0:
-        raise AnalysisError("zero input energy; efficiency undefined")
-    return traj, e_in
 
 
 _signature = functools.cache(inspect.signature)
@@ -400,7 +383,7 @@ def _measure_train(t: dict, line: tuple) -> RunResult:
     """Settle the checked point (t, line) (``_check_train``'s return) and
     measure spectrum and power; the run's config echoes ``t``."""
     circuit, derived, width, spacing, envelope = line
-    traj, e_in = _settle_train(*line, t["dt_divisor"])
+    traj, e_in = _simulate_settled(*line, t["dt_divisor"])
     seq_duration = (len(envelope.theta) + 1) * spacing
     spectrum = psd(*_band_window(traj))
     e_out = forward_energy(traj.v_nodeN, traj.i_out, circuit.z_out, traj.times)
@@ -470,9 +453,10 @@ def run_gaussian(
                              alpha_in=alpha_in, theta_peak=theta_peak, **kwargs)
 
 
-def _check_single_fluxon(a: dict) -> list[tuple[float, CircuitParams, float]]:
-    """Refuse the arguments ``a`` of run_single_fluxon; returns (alpha_out,
-    line, sech time constant of the injected fluxon) of each point."""
+def _check_single_fluxon(a: dict) -> list[tuple]:
+    """Refuse the arguments ``a`` of run_single_fluxon; returns each point as
+    (config, circuit, train, t_end, dt): the run's config, then the point's
+    arguments to ``simulate``."""
     check_overrides(a)
     alphas = [float(x) for x in np.atleast_1d(a["alpha_out"])]
     if not alphas or any(not 0.05 < x <= 1.0 for x in alphas):
@@ -487,17 +471,35 @@ def _check_single_fluxon(a: dict) -> list[tuple[float, CircuitParams, float]]:
     omega_p = 2.0 * math.pi * a["f_plasma"]
     n_jtl = int(round(4 * a["lambda_j"])) if a["n_jtl"] is None else a["n_jtl"]
     r_n = _damping_r_n(a["i_c"], omega_p, a["damping_quality"])
-    lines = []
+    points = []
     for alpha in alphas:
         circuit = solve_geometry(
             a["i_c"], a["lambda_j"], omega_p, a["alpha_in"], alpha, n_jtl, r_n
         )
         derived = derive(circuit)
         width = single_fluxon_width(derived, a["v_tilde"])
-        t_tail = a["n_tail_periods"] * 2.0 * math.pi / derived.omega_p
-        _require_record(11.0 * width + t_tail, 2.0 * math.pi / omega_p, a["dt_divisor"])
-        lines.append((alpha, circuit, width))
-    return lines
+        pulse = sech_pulse(PHI0, width, t_center=6.0 * width)
+        train = PulseTrain(pulses=(pulse,), duration=11.0 * width)
+        t_end = train.duration + a["n_tail_periods"] * 2.0 * math.pi / derived.omega_p
+        dt = 2.0 * math.pi / omega_p / a["dt_divisor"]
+        _require_record(t_end, 2.0 * math.pi / omega_p, a["dt_divisor"])
+        # simulate records the samples dt * k, k = 0 .. max(1, ceil(t_end / dt));
+        # the ring-down's first k is a rounded quotient's ceiling, corrected
+        first = math.ceil(train.duration / dt)
+        first += (dt * first < train.duration) - (dt * (first - 1) >= train.duration)
+        ring_down = max(1, math.ceil(t_end / dt)) + 1 - first
+        if ring_down < 256:
+            raise ScenarioError(
+                f"n_tail_periods = {a['n_tail_periods']!r} leaves {ring_down} ring-down "
+                f"samples at alpha_out {alpha!r}, fewer than the 256 a spectrum needs")
+        config = {
+            "alpha_out": alpha, "alpha_in": a["alpha_in"], "i_c": a["i_c"],
+            "f_plasma": a["f_plasma"], "lambda_j": a["lambda_j"], "v_tilde": a["v_tilde"],
+            "n_jtl": circuit.n_jtl, "r_n": circuit.r_n, "width": width,
+            "damping_quality": a["damping_quality"], "dt_divisor": a["dt_divisor"],
+        }
+        points.append((config, circuit, train, t_end, dt))
+    return points
 
 
 @_checked_by(_check_single_fluxon)
@@ -524,15 +526,10 @@ def run_single_fluxon(
     ring-down is a trapped breather, one winding without it is absorption,
     and zero windings mean fluxon-preserving reflection.
     """
-    lines = _check_single_fluxon(locals())
-    omega_p = 2.0 * math.pi * f_plasma
+    points = _check_single_fluxon(locals())
     runs = []
-    for a, circuit, width in lines:
-        derived = derive(circuit)
-        pulse = sech_pulse(PHI0, width, t_center=6.0 * width)
-        train = PulseTrain(pulses=(pulse,), duration=11.0 * width)
-        t_end = train.duration + n_tail_periods * 2.0 * math.pi / derived.omega_p
-        traj = simulate(circuit, train, t_end, 2.0 * math.pi / omega_p / dt_divisor)
+    for config, *point in points:
+        traj = simulate(*point)
         fit = None
         fit_note = ""
         try:
@@ -542,31 +539,19 @@ def run_single_fluxon(
         ring_down = traj.v[-1][traj.times >= traj.drive_end]
         q = _band_stride(traj.derived, traj.dt, ring_down.size)
         spectrum = psd(ring_down[::q], traj.dt * q)
-        regime = _classify_regime(traj, fit, derived)
-        config = {
-            "alpha_out": a, "alpha_in": alpha_in, "i_c": i_c,
-            "f_plasma": f_plasma, "lambda_j": lambda_j, "v_tilde": v_tilde,
-            "n_jtl": circuit.n_jtl, "r_n": circuit.r_n, "width": width,
-            "damping_quality": damping_quality, "dt_divisor": dt_divisor,
-        }
-        runs.append(
-            RunResult(
-                config=config, f0=spectrum.f0, fwhm=spectrum.fwhm, fit=fit,
-                regime=regime, spectrum=spectrum, notes=fit_note,
-            )
-        )
+        runs.append(RunResult(
+            config=config, f0=spectrum.f0, fwhm=spectrum.fwhm, fit=fit,
+            regime=_classify_regime(traj, fit), spectrum=spectrum, notes=fit_note))
     provenance = {"scenario": "single_fluxon",
-                  "alpha_out_grid": [a for a, _, _ in lines],
+                  "alpha_out_grid": [run.config["alpha_out"] for run in runs],
                   "config": runs[0].config}
     return ScenarioReport(scenario="single_fluxon", runs=tuple(runs),
                           provenance=provenance)
 
 
-def _classify_regime(
-    traj: Trajectory, fit: BreatherFit | None, derived: DerivedParams
-) -> str:
+def _classify_regime(traj: Trajectory, fit: BreatherFit | None) -> str:
     net_windings = traj.phi[-1, -1] / (2.0 * math.pi)
-    f_p = derived.omega_p / (2.0 * math.pi)
+    f_p = traj.derived.omega_p / (2.0 * math.pi)
     ringing = (
         fit is not None
         and fit.n_peaks >= 4
@@ -640,7 +625,7 @@ def _map_point(t: dict, line: tuple) -> float:
     """eta = e_out / e_in of the checked map point (t, line), by
     run_fluxoid_train's calls, so bit for bit its ``.eta``.  The map keeps
     nothing else of a point, so it takes no spectrum."""
-    traj, e_in = _settle_train(*line, t["dt_divisor"])
+    traj, e_in = _simulate_settled(*line, t["dt_divisor"])
     return forward_energy(traj.v_nodeN, traj.i_out, traj.circuit.z_out,
                           traj.times) / e_in
 

@@ -291,7 +291,7 @@ class TestRun:
         def no_fork():
             raise OSError("a map run forked")
 
-        monkeypatch.setattr(experiments, "_settle_train", no_settle)
+        monkeypatch.setattr(experiments, "_simulate_settled", no_settle)
         monkeypatch.setattr(os, "fork", no_fork)
         config = _write(tmp_path, "[scenario]\nid = efficiency_map\n"
                         f"i_c_grid = 2e-6, 3e-6\nomega_p_grid = 1.1e11\n{line}\n")
@@ -395,6 +395,10 @@ PRE_RUN_REFUSALS = [
                  id="dt_divisor-400-digits"),
     pytest.param("[scenario]\nid = table1\n[solver]\ndt_divisor = 10000000\n",
                  "the run's record could reach", id="table1-record"),
+    pytest.param("[scenario]\nid = single_fluxon\nalpha_out_grid = 0.2\n"
+                 "n_tail_periods = 1.81\n",
+                 "n_tail_periods = 1.81 leaves 254 ring-down samples at alpha_out 0.2, "
+                 "fewer than the 256 a spectrum needs", id="single_fluxon-short-tail"),
 ]
 
 

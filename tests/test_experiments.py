@@ -91,6 +91,30 @@ class TestSingleFluxon:
         run = run_single_fluxon((0.25,), n_tail_periods=2).runs[0]
         assert run.f0 == pytest.approx(21.94e9, rel=1e-3)
 
+    def test_shortest_ring_down_with_a_spectrum_runs(self):
+        # at the defaults 1.82 plasma periods of tail leave psd's 256
+        # ring-down samples, and 1.81 is refused before anything integrates
+        run = run_single_fluxon((0.2,), n_tail_periods=1.82).runs[0]
+        assert run.spectrum is not None
+        with pytest.raises(ScenarioError, match="fewer than the 256"):
+            run_single_fluxon.check((0.2,), n_tail_periods=1.81)
+
+    def test_runner_integrates_each_checked_point(self, monkeypatch):
+        # the check resolves each point to (config, simulate's arguments),
+        # and the runner integrates exactly those, in order
+        points = run_single_fluxon.check((0.2, 0.3), n_tail_periods=5)
+        calls = []
+        simulate = experiments.simulate
+
+        def spying(*args):
+            calls.append(args)
+            return simulate(*args)
+
+        monkeypatch.setattr(experiments, "simulate", spying)
+        report = run_single_fluxon((0.2, 0.3), n_tail_periods=5)
+        assert calls == [tuple(point[1:]) for point in points]
+        assert [run.config for run in report.runs] == [point[0] for point in points]
+
 
 class TestTrainScenarios:
     def test_geometry_rules(self):
@@ -349,7 +373,7 @@ class TestSpectrumWindow:
     def records(self, monkeypatch):
         """(settled record, psd's input) of every train point run."""
         records, trajs = [], []
-        settle = experiments._settle_train
+        settle = experiments._simulate_settled
 
         def settling(*args):
             traj, e_in = settle(*args)
@@ -360,7 +384,7 @@ class TestSpectrumWindow:
             records.append((trajs[-1], signal))
             return psd(signal, dt, **kwargs)
 
-        monkeypatch.setattr(experiments, "_settle_train", settling)
+        monkeypatch.setattr(experiments, "_simulate_settled", settling)
         monkeypatch.setattr(experiments, "psd", recording)
         return records
 
@@ -529,7 +553,7 @@ class TestGridChecks:
             raise Settled(len(checks))
 
         monkeypatch.setattr(experiments, "_check_train", counting)
-        monkeypatch.setattr(experiments, "_settle_train", first_settle)
+        monkeypatch.setattr(experiments, "_simulate_settled", first_settle)
         with pytest.raises(Settled) as settled:
             run()
         assert settled.value.args == (points,)
@@ -661,6 +685,7 @@ class TestSettle:
 
     @pytest.fixture
     def case(self):
+        """The train's checked ``line`` and the train it compiles to."""
         i_c, omega_p = 3e-6, 2 * math.pi * 15e9
         l_j = PHI0 / (2 * math.pi * i_c)
         c_j = 1 / (omega_p**2 * l_j)
@@ -668,15 +693,20 @@ class TestSettle:
         circuit = solve_geometry(i_c, 3.17, omega_p, 3.5, 0.25, 5, r_n)
         derived = derive(circuit)
         width = l_j / R_SFQ
-        train = compile_envelope(
-            PhaseEnvelope.flat_top(19), schedule_spacing(derived), width,
-            t_start=5 * width,
-        )
-        t_tail0 = 0.5 * 2 * math.pi / derived.omega_p
-        return circuit, train, t_tail0
+        spacing, envelope = schedule_spacing(derived), PhaseEnvelope.flat_top(19)
+        train = compile_envelope(envelope, spacing, width, t_start=5 * width)
+        return (circuit, derived, width, spacing, envelope), train
 
-    def test_tail_doubles_until_settled(self, case, monkeypatch):
-        circuit, train, t_tail0 = case
+    @pytest.fixture
+    def t_tail0(self, case, monkeypatch):
+        """A first tail of half a plasma period."""
+        monkeypatch.setattr(experiments, "TAIL_PERIODS", 0.5)
+        (_, derived, *_), _ = case
+        return 0.5 * 2 * math.pi / derived.omega_p
+
+    def test_tail_doubles_until_settled(self, case, t_tail0, monkeypatch):
+        line, train = case
+        circuit = line[0]
         horizons = []
         simulate = experiments.simulate
 
@@ -685,9 +715,7 @@ class TestSettle:
             return simulate(circuit, drive, t_end, dt)
 
         monkeypatch.setattr(experiments, "simulate", recording)
-        traj, e_in = experiments._simulate_settled(
-            circuit, train, t_tail0, dt_divisor=200
-        )
+        traj, e_in = experiments._simulate_settled(*line, 200)
         assert horizons == pytest.approx(
             [train.duration + 2**k * t_tail0 for k in range(8)], rel=1e-12
         )
@@ -697,38 +725,32 @@ class TestSettle:
             traj.v_node1, traj.i_in, circuit.z_in, traj.times
         )
 
-    def test_warns_when_extensions_run_out(self, case):
-        circuit, train, t_tail0 = case
+    def test_warns_when_extensions_run_out(self, case, t_tail0, monkeypatch):
+        monkeypatch.setattr(experiments, "MAX_EXTENSIONS", 0)
+        line, _ = case
         with pytest.warns(UserWarning, match="stored energy residual"):
-            experiments._simulate_settled(
-                circuit, train, t_tail0, dt_divisor=200, max_extensions=0
-            )
+            experiments._simulate_settled(*line, 200)
 
     @staticmethod
     def _default_tail(circuit):
         return experiments.TAIL_PERIODS * 2 * math.pi / derive(circuit).omega_p
 
-    def _default_settle(self, circuit, train):
-        return experiments._simulate_settled(
-            circuit, train, self._default_tail(circuit),
-            dt_divisor=DEFAULT_DT_DIVISOR)
-
     def test_slow_line_settles_from_the_default_tail(self, case):
-        # _settle_train's first tail on this slowly ringing line settles
-        # under SETTLED within MAX_EXTENSIONS, and so without a warning
-        circuit, train, _ = case
+        # the default first tail on this slowly ringing line settles under
+        # SETTLED within MAX_EXTENSIONS, and so without a warning
+        line, _ = case
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj, e_in = self._default_settle(circuit, train)
+            traj, e_in = experiments._simulate_settled(*line, DEFAULT_DT_DIVISOR)
         assert traj.final_stored_energy() <= experiments.SETTLED * e_in
 
     def test_each_horizon_is_logged(self, case, caplog):
-        circuit, train, _ = case
+        line, train = case
         caplog.set_level(logging.DEBUG, logger="jtlpulse.experiments")
-        traj, e_in = self._default_settle(circuit, train)
+        traj, e_in = experiments._simulate_settled(*line, DEFAULT_DT_DIVISOR)
         logged = [(r.settle_extension, r.settle_t_end, r.settle_residual)
                   for r in caplog.records if r.name == "jtlpulse.experiments"]
-        tail = self._default_tail(circuit)
+        tail = self._default_tail(line[0])
         assert [k for k, _, _ in logged] == list(range(len(logged)))
         assert len(logged) > 1
         assert [t for _, t, _ in logged] == pytest.approx(

@@ -123,9 +123,7 @@ class TestBandwidthSweep:
 class TestSettleExtension:
     def test_extension_integrates_only_its_tail(self, spy, recorded, monkeypatch):
         # a short first tail on a lightly damped line forces extensions
-        settle = experiments._simulate_settled
-        monkeypatch.setattr(experiments, "_simulate_settled",
-                            lambda c, train, tail, **kw: settle(c, train, tail / 2, **kw))
+        monkeypatch.setattr(experiments, "TAIL_PERIODS", experiments.TAIL_PERIODS / 2)
         experiments.run_flat_top(3e-6, 2 * math.pi * 15e9, 3, r_n=1e3)
         ends = [traj.times.size - 1 for _, _, traj in recorded]
         assert len(ends) == 4
