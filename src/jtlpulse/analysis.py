@@ -22,6 +22,7 @@ import numpy as np
 from . import solver
 from .solver import Trajectory
 
+MIN_PSD_SAMPLES = 256
 _CSV_BLOCK_ROWS = 1 << 16
 # Longest repr of a double, "-2.2250738585072014e-308", and its separator.
 _CSV_FIELD_BYTES = 25
@@ -214,13 +215,13 @@ def psd(
 ) -> SpectrumResult:
     """PSD, peak frequency, FWHM and band energy from one FFT.
 
-    The record is sampled every ``dt`` seconds and must be at least 256
-    samples long.  The scenarios pass band-limited records: the integrator's
-    record taken every q-th step, with a Nyquist of at least twice the
-    lattice band top 2 f_p sqrt(1 + 4 lambda_J^2), and no fewer than 256
-    samples left (``experiments._band_stride``).  The spectrum is ``esd``'s,
-    on the 7-smooth length at least ``pad_factor`` times the record, and its
-    observables are read off that grid:
+    The record is sampled every ``dt`` seconds and must be at least
+    MIN_PSD_SAMPLES long.  The scenarios pass band-limited records: the
+    integrator's record taken every q-th step, with a Nyquist of at least
+    twice the lattice band top 2 f_p sqrt(1 + 4 lambda_J^2), and no fewer
+    than MIN_PSD_SAMPLES left (``experiments._band_stride``).  The spectrum
+    is ``esd``'s, on the 7-smooth length at least ``pad_factor`` times the
+    record, and its observables are read off that grid:
 
     * f0 is the vertex of the parabola through the log-density at the peak
       bin (the argmax over f > 0) and its two neighbours;
@@ -243,8 +244,9 @@ def psd(
     7e-6 relative, and their band power within 2.1e-4 dB.
     """
     x = np.asarray(signal, dtype=float)
-    if x.size < 256:
-        raise AnalysisError(f"record too short for a spectrum: {x.size} < 256 samples")
+    if x.size < MIN_PSD_SAMPLES:
+        raise AnalysisError(
+            f"record too short for a spectrum: {x.size} < {MIN_PSD_SAMPLES} samples")
     freqs, energy = esd(x, dt, pad_factor=pad_factor)
     density = energy / (x.size * dt)
     k0 = int(np.argmax(density[1:])) + 1

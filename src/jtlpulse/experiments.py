@@ -26,6 +26,7 @@ import inspect
 import json
 import logging
 import math
+import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
@@ -52,6 +53,7 @@ from .pulses import (
 )
 from .solver import DEFAULT_DT_DIVISOR, MIN_DT_DIVISOR, Trajectory, simulate
 from .analysis import (
+    MIN_PSD_SAMPLES,
     AnalysisError,
     BreatherFit,
     InsufficientDataError,
@@ -163,8 +165,8 @@ def _band_stride(derived: DerivedParams, dt: float, n_samples: int) -> int:
 
     q is the largest stride whose Nyquist 1/(2 q dt) is at least twice the
     lattice band top f_top = f_p sqrt(1 + 4 lambda_J^2), so
-    q = floor(1 / (4 f_top dt)).  It is capped at n_samples // 256 so that
-    psd's 256-sample floor still holds, and is at least 1.
+    q = floor(1 / (4 f_top dt)).  It is capped at n_samples //
+    MIN_PSD_SAMPLES so that psd's sample floor still holds, and is at least 1.
 
     Linear waves on the lattice lie below f_top, and the scenarios' tones
     near f_p.  Taking every q-th sample is plain subsampling: whatever lies
@@ -178,7 +180,7 @@ def _band_stride(derived: DerivedParams, dt: float, n_samples: int) -> int:
         1.0 + 4.0 * derived.lambda_j**2
     )
     q = math.floor(1.0 / (4.0 * f_top * dt))
-    return max(1, min(q, n_samples // 256))
+    return max(1, min(q, n_samples // MIN_PSD_SAMPLES))
 
 
 # A train run first integrates TAIL_PERIODS plasma periods past its drive,
@@ -191,11 +193,11 @@ def _band_stride(derived: DerivedParams, dt: float, n_samples: int) -> int:
 TAIL_PERIODS = 16.0
 MAX_EXTENSIONS = 7
 SETTLED = 1e-12
-# A train's spectrum is read over its drive plus WINDOW_PERIODS plasma
-# periods (a settled record shorter than that is zero-extended to it), or
-# over its whole record if that ran longer.  A shorter window widens the
-# FWHM's spread over the integration step past criterion 8g's 1e-5: 2.3e-5
-# on the Table-1 flat-top 3 uA row at 20 periods.
+# A train's spectrum is read over exactly its drive plus WINDOW_PERIODS
+# plasma periods, however far its record settled: a record shorter than
+# that is zero-extended to it.  A shorter window widens the FWHM's spread
+# over the integration step past criterion 8g's 1e-5: 2.3e-5 on the
+# Table-1 flat-top 3 uA row at 20 periods.
 WINDOW_PERIODS = 30.0
 # The longest record a scenario point may ask simulate for, in integrator
 # steps: phi and v of an n = 5 line take ~8 GB at this length.
@@ -215,19 +217,13 @@ def _require_record(t_end: float, t_plasma: float, dt_divisor: int) -> float:
 
 
 def _simulate_settled(
-    circuit: CircuitParams, derived: DerivedParams, width: float,
-    spacing: float, envelope: PhaseEnvelope, dt_divisor: int,
+    circuit: CircuitParams, train: PulseTrain, t_end: float, dt: float
 ) -> tuple[Trajectory, float]:
-    """Compile a point's checked train ``line`` and run it TAIL_PERIODS
-    plasma periods past its drive, then double that tail, at most
-    MAX_EXTENSIONS times, until the energy stored in the line at the
-    record's end is at most SETTLED of the injected forward energy e_in;
-    returns (trajectory, e_in > 0).  Each extension integrates only its
-    added tail (``simulate`` resumes its last run), and each horizon's t_end
-    and residual / e_in are logged at DEBUG."""
-    train = compile_envelope(envelope, spacing, width, t_start=5.0 * width)
-    dt = 2.0 * math.pi / derived.omega_p / dt_divisor
-    t_end = train.duration + TAIL_PERIODS * 2.0 * math.pi / derived.omega_p
+    """``simulate(circuit, train, t_end, dt)``, its tail past the drive
+    doubled until the line has settled (see TAIL_PERIODS); returns
+    (trajectory, e_in > 0), e_in the injected forward energy.  Each extension
+    integrates only its added tail (``simulate`` resumes its last run), and
+    each horizon's t_end and residual / e_in are logged at DEBUG."""
     for extension in range(MAX_EXTENSIONS + 1):
         traj = simulate(circuit, train, t_end, dt)
         e_in = forward_energy(traj.v_node1, traj.i_in, circuit.z_in, traj.times)
@@ -252,13 +248,13 @@ def _simulate_settled(
 def _band_window(traj: Trajectory) -> tuple[np.ndarray, float]:
     """The load voltage over z_out^(1/2) that a train's spectrum is read
     from, taken every ``_band_stride`` steps, and its sample interval.  It
-    spans the samples ``simulate`` records to WINDOW_PERIODS plasma periods
-    past the drive, the settled record followed by zeros, or the whole
-    record if that ran longer."""
+    spans exactly the samples ``simulate`` records to WINDOW_PERIODS plasma
+    periods past the drive: the settled record's first samples, followed by
+    zeros where the record stops short of the window."""
     t_window = traj.drive_end + WINDOW_PERIODS * 2.0 * math.pi / traj.derived.omega_p
-    size = max(traj.times.size, math.ceil(t_window / traj.dt) + 1)
+    size = math.ceil(t_window / traj.dt) + 1
     q = _band_stride(traj.derived, traj.dt, size)
-    band = traj.v_nodeN[::q] / math.sqrt(traj.circuit.z_out)
+    band = traj.v_nodeN[:size:q] / math.sqrt(traj.circuit.z_out)
     return np.concatenate((band, np.zeros(-(-size // q) - band.size))), traj.dt * q
 
 
@@ -287,17 +283,20 @@ def _checked_by(check):
     return register
 
 
-def _check_train(a: dict) -> tuple[dict, tuple]:
+def _check_train(a: dict) -> tuple:
     """Refuse the arguments ``a`` of a train runner, the ``kwargs`` that
     run_flat_top and run_gaussian hand on to run_fluxoid_train included;
-    returns the point (t, line) every train measurement takes: ``t`` is
-    run_fluxoid_train's arguments by name, ``line`` the line, its derived
-    scales, the drive pulse width, the pulse spacing and the phase envelope."""
+    returns the point (config, circuit, train, t_end, dt) every train
+    measurement takes: the run's config, then the arguments of its first
+    ``simulate`` call, which runs TAIL_PERIODS plasma periods past the drive."""
     own = {k: v for k, v in a.items() if k != "kwargs"}
     t = _arguments(run_fluxoid_train, **own, **a.get("kwargs", {}))
     check_overrides(t)
-    if t["n_pairs"] < 1:
-        raise ScenarioError(f"n_pairs must be >= 1, got {t['n_pairs']}")
+    try:
+        if operator.index(t["n_pairs"]) < 1:
+            raise ScenarioError(f"n_pairs must be >= 1, got {t['n_pairs']}")
+    except TypeError:
+        raise ScenarioError(f"n_pairs must be an integer, got {t['n_pairs']!r}") from None
     if t["drive_model"] not in ("source", "incident"):
         raise ScenarioError(f"unknown drive_model {t['drive_model']!r}")
     if t["shape"] not in ("flat_top", "gaussian"):
@@ -343,7 +342,21 @@ def _check_train(a: dict) -> tuple[dict, tuple]:
         envelope = PhaseEnvelope.gaussian(m, peak=theta, sigma=t["sigma"])
     else:
         envelope = PhaseEnvelope.flat_top(m, theta)
-    return t, (circuit, derived, width, spacing, envelope)
+    train = compile_envelope(envelope, spacing, width, t_start=5.0 * width)
+    t_end = train.duration + TAIL_PERIODS * 2.0 * math.pi / derived.omega_p
+    dt = 2.0 * math.pi / derived.omega_p / t["dt_divisor"]
+    config = {
+        "shape": t["shape"], "i_c": t["i_c"], "omega_p": derived.omega_p,
+        "lambda_j": derived.lambda_j, "n_pairs": t["n_pairs"],
+        "theta_peak": t["theta_peak"], "sigma": t["sigma"],
+        "alpha_in": t["alpha_in"], "alpha_out": t["alpha_out"],
+        "r_n": circuit.r_n, "l": circuit.l, "c_j": circuit.c_j,
+        "n_jtl": circuit.n_jtl, "width": width, "spacing": spacing,
+        "spacing_multiple": t["spacing_multiple"],
+        "drive_model": t["drive_model"], "dt_divisor": t["dt_divisor"],
+        "seq_duration": (len(envelope.theta) + 1) * spacing,
+    }
+    return config, circuit, train, t_end, dt
 
 
 def run_fluxoid_train(
@@ -379,39 +392,21 @@ def run_fluxoid_train(
     return _measure_train(*_check_train(locals()))
 
 
-def _measure_train(t: dict, line: tuple) -> RunResult:
-    """Settle the checked point (t, line) (``_check_train``'s return) and
-    measure spectrum and power; the run's config echoes ``t``."""
-    circuit, derived, width, spacing, envelope = line
-    traj, e_in = _simulate_settled(*line, t["dt_divisor"])
-    seq_duration = (len(envelope.theta) + 1) * spacing
+def _measure_train(config: dict, *run) -> RunResult:
+    """Settle the checked point (config, *run), ``_check_train``'s return,
+    and measure spectrum and power; the run's config is the point's."""
+    traj, e_in = _simulate_settled(*run)
+    seq_duration = config["seq_duration"]
     spectrum = psd(*_band_window(traj))
-    e_out = forward_energy(traj.v_nodeN, traj.i_out, circuit.z_out, traj.times)
+    e_out = forward_energy(traj.v_nodeN, traj.i_out, traj.circuit.z_out, traj.times)
     power = PowerReport(
         e_in_fwd=e_in, e_out_fwd=e_out, eta=e_out / e_in,
         avg_input_power=e_in / seq_duration,
         band_power_dbm=None if spectrum.fwhm is None
         else _band_dbm(spectrum.band_energy, seq_duration),
     )
-    config = {
-        "shape": t["shape"], "i_c": t["i_c"], "omega_p": derived.omega_p,
-        "lambda_j": derived.lambda_j, "n_pairs": t["n_pairs"],
-        "theta_peak": t["theta_peak"], "sigma": t["sigma"],
-        "alpha_in": t["alpha_in"], "alpha_out": t["alpha_out"],
-        "r_n": circuit.r_n, "l": circuit.l, "c_j": circuit.c_j,
-        "n_jtl": circuit.n_jtl, "width": width, "spacing": spacing,
-        "spacing_multiple": t["spacing_multiple"],
-        "drive_model": t["drive_model"], "dt_divisor": t["dt_divisor"],
-        "seq_duration": seq_duration,
-    }
-    return RunResult(
-        config=config,
-        f0=spectrum.f0,
-        fwhm=spectrum.fwhm,
-        eta=power.eta,
-        power=power,
-        spectrum=spectrum,
-    )
+    return RunResult(config=config, f0=spectrum.f0, fwhm=spectrum.fwhm, eta=power.eta,
+                     power=power, spectrum=spectrum)
 
 
 @_checked_by(_check_train)
@@ -488,10 +483,11 @@ def _check_single_fluxon(a: dict) -> list[tuple]:
         first = math.ceil(train.duration / dt)
         first += (dt * first < train.duration) - (dt * (first - 1) >= train.duration)
         ring_down = max(1, math.ceil(t_end / dt)) + 1 - first
-        if ring_down < 256:
+        if ring_down < MIN_PSD_SAMPLES:
             raise ScenarioError(
                 f"n_tail_periods = {a['n_tail_periods']!r} leaves {ring_down} ring-down "
-                f"samples at alpha_out {alpha!r}, fewer than the 256 a spectrum needs")
+                f"samples at alpha_out {alpha!r}, fewer than the {MIN_PSD_SAMPLES} "
+                "a spectrum needs")
         config = {
             "alpha_out": alpha, "alpha_in": a["alpha_in"], "i_c": a["i_c"],
             "f_plasma": a["f_plasma"], "lambda_j": a["lambda_j"], "v_tilde": a["v_tilde"],
@@ -564,7 +560,7 @@ def _classify_regime(traj: Trajectory, fit: BreatherFit | None) -> str:
     return "fluxon_reflection"
 
 
-def _check_bandwidth_sweep(a: dict) -> list[tuple[dict, tuple]]:
+def _check_bandwidth_sweep(a: dict) -> list[tuple]:
     """Refuse the arguments ``a`` of run_bandwidth_sweep, each point's
     run_flat_top call included; returns each point's ``_check_train``
     result, in sweep order."""
@@ -595,9 +591,9 @@ def run_bandwidth_sweep(
     """Flat-top FWHM vs pulse-pair count at the fixed 15 GHz circuit, each
     point the run_flat_top run of its pair count."""
     points = _check_bandwidth_sweep(locals())
-    runs = [replace(_measure_train(t, line), spectrum=None) for t, line in points]
+    runs = [replace(_measure_train(*point), spectrum=None) for point in points]
     provenance = {"scenario": "bandwidth_sweep",
-                  "n_pairs_list": [t["n_pairs"] for t, _ in points],
+                  "n_pairs_list": [run.config["n_pairs"] for run in runs],
                   "config": runs[0].config}
     return ScenarioReport(scenario="bandwidth_sweep", runs=tuple(runs),
                           provenance=provenance)
@@ -621,19 +617,20 @@ def _map_run(
             "drive_model": "incident", "dt_divisor": dt_divisor}
 
 
-def _map_point(t: dict, line: tuple) -> float:
-    """eta = e_out / e_in of the checked map point (t, line), by
+def _map_point(config: dict, *run) -> float:
+    """eta = e_out / e_in of the checked map point (config, *run), by
     run_fluxoid_train's calls, so bit for bit its ``.eta``.  The map keeps
     nothing else of a point, so it takes no spectrum."""
-    traj, e_in = _simulate_settled(*line, t["dt_divisor"])
+    traj, e_in = _simulate_settled(*run)
     return forward_energy(traj.v_nodeN, traj.i_out, traj.circuit.z_out,
                           traj.times) / e_in
 
 
-def _check_efficiency_map(a: dict) -> list[tuple[dict, tuple]]:
+def _check_efficiency_map(a: dict) -> list[tuple]:
     """Refuse the arguments ``a`` of run_efficiency_map, each grid point's
-    runner call included; returns each point's ``_check_train`` result,
-    omega_p the outer loop."""
+    runner call included; returns each point's ``_check_train`` result with
+    the map's config of the point in place of the runner's, omega_p the
+    outer loop."""
     i_c_grid = [float(x) for x in a["i_c_grid"]]
     omega_p_grid = [float(x) for x in a["omega_p_grid"]]
     if not i_c_grid or not omega_p_grid:
@@ -648,8 +645,10 @@ def _check_efficiency_map(a: dict) -> list[tuple[dict, tuple]]:
     require_positive("damping_quality", a["damping_quality"], finite=False)
     runner = SCENARIOS[a["protocol"]]
     return [
-        _check_train(_arguments(runner, **_map_run(
-            i_c, omega_p, a["alpha_in"], a["damping_quality"], a["dt_divisor"])))
+        ({"protocol": a["protocol"], "i_c": i_c, "omega_p": omega_p,
+          "alpha_in": a["alpha_in"], "damping_quality": a["damping_quality"]},
+         *_check_train(_arguments(runner, **_map_run(
+             i_c, omega_p, a["alpha_in"], a["damping_quality"], a["dt_divisor"])))[1:])
         for omega_p in omega_p_grid for i_c in i_c_grid
     ]
 
@@ -670,10 +669,7 @@ def run_efficiency_map(
     points = _check_efficiency_map(locals())
     i_c_grid = [float(x) for x in i_c_grid]
     omega_p_grid = [float(x) for x in omega_p_grid]
-    runs = tuple(RunResult(config={
-        "protocol": protocol, "i_c": t["i_c"], "omega_p": t["omega_p"],
-        "alpha_in": alpha_in, "damping_quality": damping_quality,
-    }, eta=_map_point(t, line)) for t, line in points)
+    runs = tuple(RunResult(config=point[0], eta=_map_point(*point)) for point in points)
     eta = np.array([run.eta for run in runs]).reshape(
         len(omega_p_grid), len(i_c_grid)).T
     provenance = {
@@ -687,7 +683,7 @@ def run_efficiency_map(
                           provenance=provenance)
 
 
-def _check_table1(a: dict) -> list[tuple[dict, tuple]]:
+def _check_table1(a: dict) -> list[tuple]:
     """Refuse the arguments ``a`` of run_table1, each row's runner call
     included; returns each row's ``_check_train`` result, flat-top rows
     first.  A row's omega_p is that of its junction, 1 / sqrt(l_j c_j)."""
@@ -702,11 +698,11 @@ def _check_table1(a: dict) -> list[tuple[dict, tuple]]:
     ]
 
 
-def _table1_row(row, t: dict, line: tuple) -> RunResult:
-    """Measure the checked point (t, line) of the Table-1 ``row`` and hold
-    it to the row's targets."""
+def _table1_row(row, *point) -> RunResult:
+    """Measure the checked ``point`` of the Table-1 ``row`` and hold it to
+    the row's targets."""
     *_, f0_ghz, fwhm_mhz, p_in_nw, p_band_dbm = row
-    run = _measure_train(t, line)
+    run = _measure_train(*point)
     tol = TABLE1_TOLERANCES
     checks = {
         "f0": abs(run.f0 / 1e9 - f0_ghz) <= tol["f0"] * f0_ghz,
@@ -718,7 +714,8 @@ def _table1_row(row, t: dict, line: tuple) -> RunResult:
     }
     targets = {"f0_ghz": f0_ghz, "fwhm_mhz": fwhm_mhz, "p_in_nw": p_in_nw,
                "p_band_dbm": p_band_dbm}
-    config = {**run.config, "protocol": t["shape"], "targets": targets, "checks": checks}
+    config = {**run.config, "protocol": run.config["shape"], "targets": targets,
+              "checks": checks}
     return replace(
         run, config=config, spectrum=None, passed=all(checks.values()),
         notes=", ".join(k for k, ok in checks.items() if not ok),

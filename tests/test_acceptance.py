@@ -42,6 +42,16 @@ def _table1_run(row, dt_divisor=DEFAULT_DT_DIVISOR):
     return _table1_row(row, *point)
 
 
+def _detuned_flat_top_run(dt_divisor=DEFAULT_DT_DIVISOR):
+    """The flat-top train at the map conventions at 2 uA, 20 GHz, driven at
+    1.087 f_p (eta 0.977): its default first tail leaves more than SETTLED
+    of the injected energy in the line, so its record runs past the
+    spectrum window."""
+    return run_flat_top(**_map_run(2e-6, 2 * math.pi * 20e9, MAP_ALPHA_IN,
+                                   MAP_DAMPING_QUALITY, dt_divisor),
+                        spacing_multiple=1 / 1.087)
+
+
 def test_criterion_1_parameter_derivation():
     """Derived lambda_J and plasma frequency match every table row to 1%."""
     rows = [(r, 3.17) for r in TABLE1_FLAT_TOP] + [
@@ -317,8 +327,9 @@ def _rel(value, reference):
 
 class TestStepBudget:
     """Every headline observable at the default step against dt_divisor
-    800, on criterion 8g's Table-1 rows and on the points of the other
-    workloads where the errors are largest; the bounds are STEP_BUDGET's."""
+    800, on criterion 8g's Table-1 rows, on the points of the other
+    workloads where the errors are largest and on a train that extends its
+    settle tail; the bounds are STEP_BUDGET's."""
 
     @staticmethod
     def _train_errors(point, monkeypatch) -> dict:
@@ -368,6 +379,10 @@ class TestStepBudget:
             monkeypatch)
         self._check("bandwidth_sweep 50 pairs", errors,
                     {**STEP_BUDGET, "fwhm": STEP_BUDGET["sweep_fwhm"]})
+
+    def test_detuned_flat_top_map_point(self, monkeypatch):
+        errors = self._train_errors(_detuned_flat_top_run, monkeypatch)
+        self._check("flat-top map 2 uA, 20 GHz at 1.087 f_p", errors, STEP_BUDGET)
 
     def test_gaussian_map_point(self):
         # the workload's map point with the largest eta error
@@ -421,13 +436,26 @@ class TestSettleBudget:
     are SETTLE_BUDGET's."""
 
     @staticmethod
-    def _both(point, monkeypatch) -> list:
-        runs = []
+    def _both(point, monkeypatch) -> tuple[list, list]:
+        """point() from the default first tail and from one of the window,
+        and the tails past the drive that each of the two integrated."""
+        runs, tails = [], []
+        simulate = experiments.simulate
+
+        def recording(circuit, train, t_end, dt):
+            tails[-1].append(t_end - train.duration)
+            return simulate(circuit, train, t_end, dt)
+
+        monkeypatch.setattr(experiments, "simulate", recording)
         for periods in (experiments.TAIL_PERIODS, experiments.WINDOW_PERIODS):
             monkeypatch.setattr(experiments, "TAIL_PERIODS", periods)
             solver.forget_last_run()
+            tails.append([])
             runs.append(point())
-        return runs
+        # the point is checked after TAIL_PERIODS is set, so the two runs
+        # start from different first tails
+        assert tails[0][0] < tails[1][0]
+        return runs, tails
 
     @staticmethod
     def _check(label, errors):
@@ -437,8 +465,10 @@ class TestSettleBudget:
                 ", ".join(f"{k} {errors[k]:.1e}/{SETTLE_BUDGET[k]:g}" for k in errors))
         assert ok
 
-    def _check_train(self, label, point, monkeypatch):
-        run, ref = self._both(point, monkeypatch)
+    def _check_train(self, label, point, monkeypatch) -> list:
+        """Checks the observables of point() against SETTLE_BUDGET; returns
+        ``_both``'s tails."""
+        (run, ref), tails = self._both(point, monkeypatch)
         self._check(label, {
             "f0": _rel(run.f0, ref.f0),
             "fwhm": _rel(run.fwhm, ref.fwhm),
@@ -446,6 +476,7 @@ class TestSettleBudget:
             "eta": abs(run.eta - ref.eta),
             "p_in": _rel(run.power.avg_input_power, ref.power.avg_input_power),
         })
+        return tails
 
     @pytest.mark.parametrize(
         "protocol, row",
@@ -461,11 +492,18 @@ class TestSettleBudget:
         self._check_train("bandwidth_sweep 50 pairs",
                           lambda: run_bandwidth_sweep([50]).runs[0], monkeypatch)
 
+    def test_detuned_flat_top_map_point(self, monkeypatch):
+        tails = self._check_train("flat-top map 2 uA, 20 GHz at 1.087 f_p",
+                                  _detuned_flat_top_run, monkeypatch)
+        # the default settle extends its first tail, and reads its spectrum
+        # over the window all the same
+        assert len(tails[0]) > 1
+
     def test_gaussian_map_point(self, monkeypatch):
         kwargs = _map_run(4e-6, 2 * math.pi * 10e9, MAP_ALPHA_IN,
                           MAP_DAMPING_QUALITY, DEFAULT_DT_DIVISOR)
-        point = SCENARIOS["gaussian"].check(**kwargs)
-        run, ref = self._both(lambda: _map_point(*point), monkeypatch)
+        (run, ref), _ = self._both(
+            lambda: _map_point(*SCENARIOS["gaussian"].check(**kwargs)), monkeypatch)
         self._check("gaussian map 4 uA, 10 GHz", {"eta": abs(run - ref)})
 
 

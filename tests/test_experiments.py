@@ -123,6 +123,13 @@ class TestTrainScenarios:
         assert _jtl_length(10.0) == 5   # clamped
         assert _jtl_length(1.0) == 4    # clamped
 
+    @pytest.mark.parametrize("n_pairs", [2.5, 2.0])
+    def test_non_integer_pair_count_is_refused(self, n_pairs):
+        # refused by the check, not by a TypeError from the envelope
+        message = f"^n_pairs must be an integer, got {n_pairs}$"
+        with pytest.raises(ScenarioError, match=message):
+            run_flat_top.check(n_pairs=n_pairs)
+
     def test_flat_top_run_is_deterministic(self):
         a = run_flat_top(4e-6, 2 * math.pi * 19.6e9, 10)
         solver.forget_last_run()  # else b copies a's record
@@ -365,9 +372,9 @@ class TestOneTransform:
 
 
 class TestSpectrumWindow:
-    """A train's spectrum is read over its drive plus WINDOW_PERIODS plasma
-    periods whatever horizon its record settled at: the record
-    zero-extended to the window, or the whole record if it ran longer."""
+    """A train's spectrum is read over exactly its drive plus WINDOW_PERIODS
+    plasma periods whatever horizon its record settled at: the record
+    zero-extended to the window, or cut at its end if it ran longer."""
 
     @pytest.fixture
     def records(self, monkeypatch):
@@ -407,16 +414,21 @@ class TestSpectrumWindow:
         assert settled[:kept].tobytes() == (
             traj.v_nodeN[::q] / math.sqrt(traj.circuit.z_out)).tobytes()
 
-    def test_a_record_past_the_window_is_read_whole(self, records):
-        # a lightly damped line settles past the window
-        run_flat_top(3e-6, 2 * math.pi * 15e9, 3, r_n=1e3)
-        ((traj, signal),) = records
+    def test_a_record_past_the_window_is_cut_at_the_window(self, monkeypatch, records):
+        # a lightly damped line settles past the window from the default
+        # first tail and from one of the whole window, at different horizons;
+        # both spectra read the same samples, those up to the window's end
+        for periods in (experiments.TAIL_PERIODS, experiments.WINDOW_PERIODS):
+            monkeypatch.setattr(experiments, "TAIL_PERIODS", periods)
+            run_flat_top(3e-6, 2 * math.pi * 15e9, 3, r_n=1e3)
+        (traj, signal), (other, other_signal) = records
         t_window = traj.drive_end + experiments.WINDOW_PERIODS * (
             2 * math.pi / traj.derived.omega_p)
-        assert traj.times[-1] > t_window
-        q = experiments._band_stride(traj.derived, traj.dt, traj.times.size)
-        assert signal.tobytes() == (
-            traj.v_nodeN[::q] / math.sqrt(traj.circuit.z_out)).tobytes()
+        size = math.ceil(t_window / traj.dt) + 1
+        assert size < traj.times.size != other.times.size > size
+        q = experiments._band_stride(traj.derived, traj.dt, size)
+        assert signal.tobytes() == other_signal.tobytes() == (
+            traj.v_nodeN[:size:q] / math.sqrt(traj.circuit.z_out)).tobytes()
 
 
 class TestBandwidthSweep:
@@ -496,9 +508,9 @@ class TestEfficiencyMap:
 
     def test_map_point_carries_a_spacing_multiple(self):
         kwargs = {**self._map_call(3e-6, 26e9), "spacing_multiple": 0.9}
-        t, line = run_flat_top.check(**kwargs)
-        assert line[3] == schedule_spacing(line[1], 0.9)
-        eta = experiments._map_point(t, line)
+        point = run_flat_top.check(**kwargs)
+        assert point[0]["spacing"] == schedule_spacing(derive(point[1]), 0.9)
+        eta = experiments._map_point(*point)
         solver.forget_last_run()
         assert eta == run_flat_top(**kwargs).eta
         default = run_flat_top.check(**self._map_call(3e-6, 26e9))
@@ -557,6 +569,27 @@ class TestGridChecks:
         with pytest.raises(Settled) as settled:
             run()
         assert settled.value.args == (points,)
+
+    @pytest.mark.parametrize("runner, args", [
+        pytest.param(run_bandwidth_sweep, ([2, 3],), id="bandwidth_sweep"),
+        pytest.param(run_efficiency_map, ([2e-6, 3e-6], [2 * math.pi * 22e9], "gaussian"),
+                     id="efficiency_map"),
+    ])
+    def test_runner_settles_each_checked_point(self, monkeypatch, runner, args):
+        # the check resolves each point to (config, simulate's arguments),
+        # and the runner settles exactly those, in order, under that config
+        points = runner.check(*args)
+        calls = []
+        settle = experiments._simulate_settled
+
+        def spying(*point):
+            calls.append(point)
+            return settle(*point)
+
+        monkeypatch.setattr(experiments, "_simulate_settled", spying)
+        report = runner(*args)
+        assert calls == [tuple(point[1:]) for point in points]
+        assert [run.config for run in report.runs] == [point[0] for point in points]
 
     def test_every_scenario_has_a_check(self):
         for scenario, runner in experiments.SCENARIOS.items():
@@ -685,7 +718,7 @@ class TestSettle:
 
     @pytest.fixture
     def case(self):
-        """The train's checked ``line`` and the train it compiles to."""
+        """The line and the train it settles."""
         i_c, omega_p = 3e-6, 2 * math.pi * 15e9
         l_j = PHI0 / (2 * math.pi * i_c)
         c_j = 1 / (omega_p**2 * l_j)
@@ -695,18 +728,23 @@ class TestSettle:
         width = l_j / R_SFQ
         spacing, envelope = schedule_spacing(derived), PhaseEnvelope.flat_top(19)
         train = compile_envelope(envelope, spacing, width, t_start=5 * width)
-        return (circuit, derived, width, spacing, envelope), train
+        return circuit, train
+
+    @staticmethod
+    def _run(case, tail, dt_divisor):
+        """simulate's arguments for ``case``: a first tail of ``tail``
+        seconds, a step of a ``dt_divisor``-th of the plasma period."""
+        circuit, train = case
+        t_plasma = 2 * math.pi / derive(circuit).omega_p
+        return circuit, train, train.duration + tail, t_plasma / dt_divisor
 
     @pytest.fixture
-    def t_tail0(self, case, monkeypatch):
+    def t_tail0(self, case):
         """A first tail of half a plasma period."""
-        monkeypatch.setattr(experiments, "TAIL_PERIODS", 0.5)
-        (_, derived, *_), _ = case
-        return 0.5 * 2 * math.pi / derived.omega_p
+        return 0.5 * 2 * math.pi / derive(case[0]).omega_p
 
     def test_tail_doubles_until_settled(self, case, t_tail0, monkeypatch):
-        line, train = case
-        circuit = line[0]
+        circuit, train = case
         horizons = []
         simulate = experiments.simulate
 
@@ -715,7 +753,7 @@ class TestSettle:
             return simulate(circuit, drive, t_end, dt)
 
         monkeypatch.setattr(experiments, "simulate", recording)
-        traj, e_in = experiments._simulate_settled(*line, 200)
+        traj, e_in = experiments._simulate_settled(*self._run(case, t_tail0, 200))
         assert horizons == pytest.approx(
             [train.duration + 2**k * t_tail0 for k in range(8)], rel=1e-12
         )
@@ -727,9 +765,8 @@ class TestSettle:
 
     def test_warns_when_extensions_run_out(self, case, t_tail0, monkeypatch):
         monkeypatch.setattr(experiments, "MAX_EXTENSIONS", 0)
-        line, _ = case
         with pytest.warns(UserWarning, match="stored energy residual"):
-            experiments._simulate_settled(*line, 200)
+            experiments._simulate_settled(*self._run(case, t_tail0, 200))
 
     @staticmethod
     def _default_tail(circuit):
@@ -738,19 +775,21 @@ class TestSettle:
     def test_slow_line_settles_from_the_default_tail(self, case):
         # the default first tail on this slowly ringing line settles under
         # SETTLED within MAX_EXTENSIONS, and so without a warning
-        line, _ = case
+        tail = self._default_tail(case[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj, e_in = experiments._simulate_settled(*line, DEFAULT_DT_DIVISOR)
+            traj, e_in = experiments._simulate_settled(
+                *self._run(case, tail, DEFAULT_DT_DIVISOR))
         assert traj.final_stored_energy() <= experiments.SETTLED * e_in
 
     def test_each_horizon_is_logged(self, case, caplog):
-        line, train = case
+        circuit, train = case
+        tail = self._default_tail(circuit)
         caplog.set_level(logging.DEBUG, logger="jtlpulse.experiments")
-        traj, e_in = experiments._simulate_settled(*line, DEFAULT_DT_DIVISOR)
+        traj, e_in = experiments._simulate_settled(
+            *self._run(case, tail, DEFAULT_DT_DIVISOR))
         logged = [(r.settle_extension, r.settle_t_end, r.settle_residual)
                   for r in caplog.records if r.name == "jtlpulse.experiments"]
-        tail = self._default_tail(line[0])
         assert [k for k, _, _ in logged] == list(range(len(logged)))
         assert len(logged) > 1
         assert [t for _, t, _ in logged] == pytest.approx(
