@@ -22,8 +22,11 @@ is then exactly the incident wave amplitude.
 
 The stepping loop runs in C: _rk4.c transcribes ``_deriv`` and the numpy
 loop ``_rk4_numpy`` operation for operation, and is built without FMA
-contraction, so both loops give bit-identical trajectories.  Both loops
-only step, from the first column of a window of the record;
+contraction, so both loops give bit-identical trajectories.  They share
+the package's own sine, ``_sin`` in Python and ``sine`` in C, one
+polynomial function within 2.3e-16 of sin for |phi| <= SIN_BOUND (1.6e6
+rad) and NaN beyond, so neither loop depends on libm's or numpy's sin.
+Both loops only step, from the first column of a window of the record;
 ``simulate`` checks the columns they filled once and reports the first
 non-finite step.
 
@@ -45,8 +48,9 @@ calls and processes load that build, and other versions' builds there
 stay for the versions that load them.  Each of its two users loads it on
 its own first use and falls back on its own, with one logged warning, to
 its Python reference if the library cannot be built or loaded or fails
-that user's check: the numpy loop if the C library's sin differs from
-np.sin, ``repr`` if the formatter misprints a probe value.
+that user's check: the numpy loop if the kernel's sine differs from
+``_sin`` in any byte on a probe, ``repr`` if the formatter misprints a
+probe value.
 """
 
 from __future__ import annotations
@@ -164,6 +168,48 @@ def _lattice(circuit: CircuitParams) -> tuple:
             1.0 / circuit.r_n, circuit.i_c, 1.0 / k_flux, 1.0 / circuit.c_j)
 
 
+# The package's sine: ``_sin`` and ``sine`` of _rk4.c are one function,
+# operation for operation.  pi/2 is split as in fdlibm, into 33-bit parts,
+# so that k _PIO2_1 and k _PIO2_2 are exact while |k| < 2^20, which
+# SIN_BOUND keeps (2^20 pi/2 = 1.65e6).
+SIN_BOUND = 1.6e6
+_INVPIO2 = 6.36619772367581382433e-01
+_ROUND = 6755399441055744.0  # 1.5 2^52: (y + _ROUND) - _ROUND is y rounded to an integer
+_PIO2_1 = 1.57079632673412561417e+00
+_PIO2_2 = 6.07710050630396597660e-11
+_PIO2_3 = 2.02226624871116645580e-21
+# fdlibm's __kernel_sin and __kernel_cos polynomials on |r| <= pi/4
+_S1, _S2, _S3, _S4, _S5, _S6 = (
+    -1.66666666666666324348e-01, 8.33333333332248946124e-03, -1.98412698298579493134e-04,
+    2.75573137070700676789e-06, -2.50507602534068634195e-08, 1.58969099521155010221e-10)
+_C1, _C2, _C3, _C4, _C5, _C6 = (
+    4.16666666666666019037e-02, -1.38888888888741095749e-03, 2.48015872894767294178e-05,
+    -2.75573143513906633035e-07, 2.08757232129817482790e-09, -1.13596475577881948265e-11)
+
+
+def _sin(x: float) -> float:
+    """sin(x) within 2.3e-16 for |x| <= SIN_BOUND; NaN beyond it, and for
+    NaN and inf.  x less the nearest multiple k pi/2 (Cody-Waite), then the
+    sin or cos polynomial of the remainder, signed by the quadrant k mod 4.
+    Python floats round each operation as C does and raise no numpy warning;
+    a numpy-ufunc transcription would cost more on the 4-16 cell lattices."""
+    if not abs(x) <= SIN_BOUND:
+        return math.nan
+    k = (x * _INVPIO2 + _ROUND) - _ROUND
+    r = ((x - k * _PIO2_1) - k * _PIO2_2) - k * _PIO2_3
+    z = r * r
+    q = int(k) & 3
+    if q & 1:
+        hz = 0.5 * z
+        w = 1.0 - hz
+        c = z * (_C1 + z * (_C2 + z * (_C3 + z * (_C4 + z * (_C5 + z * _C6)))))
+        y = w + (((1.0 - w) - hz) + z * c)
+    else:
+        s = _S1 + z * (_S2 + z * (_S3 + z * (_S4 + z * (_S5 + z * _S6))))
+        y = r + (z * r) * s
+    return -y if q & 2 else y
+
+
 def _deriv(
     p: np.ndarray, u: np.ndarray, vd: float, lattice: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +222,7 @@ def _deriv(
     i_cell *= g_l
     i_cell[0] += (vd - u[0]) * g_in
     i_cell[-1] -= u[-1] * g_out
-    i_cell -= i_c * np.sin(p)
+    i_cell -= i_c * np.array([_sin(x) for x in p.tolist()])
     i_cell -= u * g_r
     return inv_kflux * u, i_cell * inv_c
 
@@ -230,16 +276,18 @@ def simulate(
 
     ``drive`` is the incident wave on the input line, sampled on the RK4
     half-step grid and doubled into the port's Thevenin EMF; None leaves the
-    port undriven.  t_end must exceed the drive's duration.  Cell 1 ends in
-    z_in and cell N in z_out: an infinite termination is an open end, which
-    no drive reaches, and r_n = inf a lossless junction.
+    port undriven.  t_end must be finite and positive, and exceed the
+    drive's duration.  Cell 1 ends in z_in and cell N in z_out: an infinite
+    termination is an open end, which no drive reaches, and r_n = inf a
+    lossless junction.
 
     dt defaults to a DEFAULT_DT_DIVISOR-th of the plasma period and must be
     positive and at most a MIN_DT_DIVISOR-th of it.  The voltages start at
     zero, and so do the phases unless ``initial_phi`` seeds them (seeding is
     used by validation tests only).  Once the loop has run, the record is
     checked; a non-finite phase or voltage raises SolverError naming the
-    first step that produced one.
+    first step that produced one.  So does a phase beyond ``SIN_BOUND``,
+    whose sine is NaN.
 
     An unseeded run reuses what its predecessor computed.  If the last
     unseeded run had the same circuit, dt and loop and a drive whose
@@ -263,6 +311,8 @@ def simulate(
             f"dt = {dt:.3e} s is not in (0, (2 pi / omega_p)/{MIN_DT_DIVISOR}"
             f" = {t_plasma / MIN_DT_DIVISOR:.3e} s]"
         )
+    if not 0.0 < t_end < math.inf:
+        raise SolverError(f"t_end = {t_end!r} s is not finite and positive")
     if drive is not None and t_end <= drive.duration:
         raise SolverError(
             f"t_end = {t_end:.3e} s does not cover the drive duration "
@@ -370,18 +420,25 @@ def _load_kernel():
     """``jtl_rk4`` of the compiled library, wrapped to take the arguments of
     ``_rk4_numpy``.
 
-    The kernel is refused if the C library's sin differs from np.sin, which
-    would break bit-identity with the numpy loop.  Any failure logs one
-    warning and returns ``_rk4_numpy``.
+    The kernel is refused if its sine, ``jtl_sin``, differs from ``_sin`` in
+    any byte on a probe (a compiler that fused or reordered its roundings),
+    which would break bit-identity with the numpy loop.  Any failure logs
+    one warning and returns ``_rk4_numpy``.
     """
     try:
         lib = _open_library()
-        x = np.linspace(-50.0, 50.0, 4001)
-        libm_sin = np.empty_like(x)
+        # golden-ratio steps over the phases a run visits and over the whole
+        # bound, with its edges: a build that fused or reordered the sine's
+        # roundings puts 0.5-1% of its results one ulp off, some of these
+        # (np.random would add 6 MB and 9 ms to every process)
+        spread = np.arange(1000) * 0.6180339887498949 % 1.0 * 2.0 - 1.0
+        edges = [SIN_BOUND, np.nextafter(SIN_BOUND, math.inf), math.nan, 0.0]
+        x = np.concatenate([64.0 * spread, SIN_BOUND * spread, edges, np.negative(edges)])
+        compiled = np.empty_like(x)
         lib.jtl_sin.argtypes = [ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
-        lib.jtl_sin(x.size, x.ctypes.data, libm_sin.ctypes.data)
-        if not np.array_equal(libm_sin, np.sin(x)):
-            raise OSError("the C library's sin differs from np.sin")
+        lib.jtl_sin(x.size, x.ctypes.data, compiled.ctypes.data)
+        if compiled.tobytes() != np.array([_sin(v) for v in x.tolist()]).tobytes():
+            raise OSError("the kernel's sin differs from solver._sin")
         kernel = lib.jtl_rk4
     except (OSError, AttributeError, RuntimeError) as exc:
         _log.warning("compiled RK4 kernel unavailable (%s); using the numpy loop", exc)

@@ -1,5 +1,6 @@
 """Lattice dynamics: equilibria, conservation, dispersion, determinism."""
 
+import ctypes
 import logging
 import math
 import os
@@ -225,6 +226,12 @@ class TestSimulate:
             with pytest.raises(SolverError, match="dt"):
                 simulate(_circuit(), None, 1e-9, dt=dt)
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0, -1e-9])
+    def test_t_end_must_be_finite_and_positive(self, t_end, kernel, monkeypatch):
+        for _ in _on_both_loops(monkeypatch, kernel):
+            with pytest.raises(SolverError, match="t_end .* is not finite and positive"):
+                simulate(_circuit(), None, t_end)
+
     def test_t_end_must_cover_drive(self):
         c = _circuit()
         train = PulseTrain(pulses=(sech_pulse(PHI0, 20e-12, 1e-10),), duration=2e-10)
@@ -358,8 +365,19 @@ class TestCompiledKernel:
             )
 
     def test_nonfinite_message_matches_numpy_loop(self, kernel, monkeypatch):
+        self._assert_aborts_at_step_1(kernel, monkeypatch, math.nan)
+
+    # a phase beyond SIN_BOUND has a NaN sine on both loops
+    @pytest.mark.parametrize(
+        "phase", [np.nextafter(solver.SIN_BOUND, math.inf), -2e6]
+    )
+    def test_phase_beyond_sin_bound_aborts(self, kernel, monkeypatch, phase):
+        self._assert_aborts_at_step_1(kernel, monkeypatch, phase)
+
+    @staticmethod
+    def _assert_aborts_at_step_1(kernel, monkeypatch, phase):
         bad = np.zeros(13)
-        bad[3] = np.nan
+        bad[3] = phase
         messages = []
         for _ in _on_both_loops(monkeypatch, kernel):
             with pytest.raises(SolverError) as err:
@@ -367,6 +385,69 @@ class TestCompiledKernel:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert "at step 1 " in messages[0]
+
+
+@pytest.fixture(scope="module")
+def compiled_sin(kernel):
+    """``jtl_sin`` of the loaded library, on a float64 array."""
+    fn = solver._open_library().jtl_sin
+    fn.argtypes = [ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
+    fn.restype = None
+
+    def sin(x):
+        x = np.array(x, dtype=float)
+        out = np.empty_like(x)
+        fn(x.size, x.ctypes.data, out.ctypes.data)
+        return out
+
+    return sin
+
+
+_B = solver.SIN_BOUND
+_SIN_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, _B, -_B,
+              np.nextafter(_B, 0.0), np.nextafter(_B, math.inf),
+              np.nextafter(-_B, -math.inf), math.inf, -math.inf, math.nan]
+# every 4099th multiple of pi/2 within the bound, where the quadrant turns,
+# and its two neighbours
+_K = int(_B / (math.pi / 2))
+_TURNS = np.arange(-_K, _K + 1, 4099) * (math.pi / 2)
+_TURNS = np.concatenate(
+    [_TURNS, np.nextafter(_TURNS, -math.inf), np.nextafter(_TURNS, math.inf)]
+)
+
+
+class TestSine:
+    """Both loops' sine: the kernel's equals ``solver._sin`` bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.floats(-1.01 * _B, 1.01 * _B),
+                              st.sampled_from(_SIN_EDGES)), min_size=1))
+    def test_kernel_equals_reference(self, compiled_sin, x):
+        # compared as bytes: signed zeros must agree, and a NaN input of any
+        # payload gives the same NaN on both sides
+        reference = np.array([solver._sin(v) for v in x])
+        assert compiled_sin(x).tobytes() == reference.tobytes()
+
+    def test_kernel_equals_reference_on_edges_and_quadrant_turns(self, compiled_sin):
+        x = np.concatenate([_TURNS, _SIN_EDGES])
+        reference = np.array([solver._sin(v) for v in x.tolist()])
+        assert compiled_sin(x).tobytes() == reference.tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(-_B, _B))
+    def test_accurate_and_odd(self, x):
+        assert abs(solver._sin(x) - math.sin(x)) <= 2.3e-16
+        if x != 0.0:
+            assert solver._sin(-x) == -solver._sin(x)
+
+    def test_accurate_at_quadrant_turns(self):
+        for x in _TURNS.tolist():
+            assert abs(solver._sin(x) - math.sin(x)) <= 2.3e-16, x
+
+    @pytest.mark.parametrize("x", [np.nextafter(_B, math.inf), 2e6, 1e300,
+                                   math.inf, math.nan])
+    def test_nan_beyond_the_bound(self, x):
+        assert math.isnan(solver._sin(x)) and math.isnan(solver._sin(-x))
 
 
 def _window_args(rows=3, columns=6):
@@ -480,7 +561,25 @@ class TestKernelCache:
 
     def test_sin_mismatch_refuses_kernel(self, warm_cache, monkeypatch, caplog):
         monkeypatch.setenv("XDG_CACHE_HOME", str(warm_cache))
-        monkeypatch.setattr(np, "sin", np.cos)
+        # np.sin differs from the package's sine on the probe
+        monkeypatch.setattr(solver, "_sin", np.sin)
+        caplog.set_level(logging.WARNING, logger="jtlpulse.solver")
+        assert solver._load_kernel() is solver._rk4_numpy
+        assert len(_kernel_notices(caplog)) == 1
+
+    def test_few_results_one_ulp_off_refuse_kernel(self, warm_cache, monkeypatch, caplog):
+        # a build that fuses or reorders the sine's roundings puts 0.5-1% of
+        # its results one ulp off; the probe must see 0.5%
+        sin = solver._sin
+
+        def off(x):
+            y = sin(x)
+            if abs(x) <= solver.SIN_BOUND and int(abs(x) * 1e3) % 200 == 7:
+                return math.nextafter(y, math.inf)
+            return y
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(warm_cache))
+        monkeypatch.setattr(solver, "_sin", off)
         caplog.set_level(logging.WARNING, logger="jtlpulse.solver")
         assert solver._load_kernel() is solver._rk4_numpy
         assert len(_kernel_notices(caplog)) == 1
