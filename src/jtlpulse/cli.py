@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import replace
 
 from .circuit import CircuitParams, ParameterError, derive
-from .solver import SolverError
+from .solver import SolverError, forget_last_run
 from .analysis import AnalysisError
 from .experiments import (
     SCENARIO_IDS,
@@ -204,6 +204,9 @@ def cmd_run(args) -> int:
             file=sys.stderr,
         )
         raise
+    # nothing later in this process resumes the last record: free it before
+    # the outputs are written
+    forget_last_run()
     paths = report.write_outputs(args.out)
     for i, run in enumerate(report.runs):
         f0 = f"{run.f0 / 1e9:.6g} GHz" if run.f0 else "-"

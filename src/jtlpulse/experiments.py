@@ -225,6 +225,10 @@ def _simulate_settled(
     integrates only its added tail (``simulate`` resumes its last run), and
     each horizon's t_end and residual / e_in are logged at DEBUG."""
     for extension in range(MAX_EXTENSIONS + 1):
+        if extension:
+            # only simulate's memo holds the last horizon now: it copies the
+            # prefix and frees the record before the extension integrates
+            del traj
         traj = simulate(circuit, train, t_end, dt)
         e_in = forward_energy(traj.v_node1, traj.i_in, circuit.z_in, traj.times)
         if e_in <= 0.0:
@@ -522,27 +526,31 @@ def run_single_fluxon(
     ring-down is a trapped breather, one winding without it is absorption,
     and zero windings mean fluxon-preserving reflection.
     """
-    points = _check_single_fluxon(locals())
-    runs = []
-    for config, *point in points:
-        traj = simulate(*point)
-        fit = None
-        fit_note = ""
-        try:
-            fit = breather_fit(traj, -1)
-        except (InsufficientDataError, AnalysisError) as exc:
-            fit_note = str(exc)
-        ring_down = traj.v[-1][traj.times >= traj.drive_end]
-        q = _band_stride(traj.derived, traj.dt, ring_down.size)
-        spectrum = psd(ring_down[::q], traj.dt * q)
-        runs.append(RunResult(
-            config=config, f0=spectrum.f0, fwhm=spectrum.fwhm, fit=fit,
-            regime=_classify_regime(traj, fit), spectrum=spectrum, notes=fit_note))
+    runs = [_fluxon_point(*point) for point in _check_single_fluxon(locals())]
     provenance = {"scenario": "single_fluxon",
                   "alpha_out_grid": [run.config["alpha_out"] for run in runs],
                   "config": runs[0].config}
     return ScenarioReport(scenario="single_fluxon", runs=tuple(runs),
                           provenance=provenance)
+
+
+def _fluxon_point(config: dict, *run) -> RunResult:
+    """Simulate the checked single-fluxon point (config, *run) and measure
+    its ring-down: breather fit, spectrum and regime.  The trajectory dies
+    with this call, before the next point integrates."""
+    traj = simulate(*run)
+    fit = None
+    fit_note = ""
+    try:
+        fit = breather_fit(traj, -1)
+    except (InsufficientDataError, AnalysisError) as exc:
+        fit_note = str(exc)
+    ring_down = traj.v[-1][traj.times >= traj.drive_end]
+    q = _band_stride(traj.derived, traj.dt, ring_down.size)
+    spectrum = psd(ring_down[::q], traj.dt * q)
+    return RunResult(config=config, f0=spectrum.f0, fwhm=spectrum.fwhm, fit=fit,
+                     regime=_classify_regime(traj, fit), spectrum=spectrum,
+                     notes=fit_note)
 
 
 def _classify_regime(traj: Trajectory, fit: BreatherFit | None) -> str:

@@ -37,7 +37,10 @@ copies columns 0..s of that record and integrates only the rest.  So the
 next, longer train of a sweep resumes where the shorter one's closing
 pulse starts to act, and a settle extension integrates only its added
 tail.  Returned records are read-only, so the remembered one cannot be
-edited; it stays alive until the next call (or ``forget_last_run``).
+edited.  A call drops it before it allocates on a miss and once copied on
+a hit, so a run holds one record at a time, and two only while a resumed
+run copies its prefix; ``forget_last_run`` drops it between calls, as
+``jtlpulse run`` does before it writes outputs.
 
 The compiled library holds that loop and the spectrum CSV formatter of
 _repr.c (``analysis._csv_rows``).  ``_open_library`` builds both sources

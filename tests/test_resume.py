@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from jtlpulse import experiments, solver
 from jtlpulse.circuit import PHI0, derive, solve_geometry
+from jtlpulse.cli import main
 from jtlpulse.pulses import PulseTrain, sech_pulse
 from jtlpulse.solver import simulate
 
@@ -214,6 +215,81 @@ class TestHitsAndMisses:
         for name in RECORDS:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(traj, name)[..., 0] = 1.0
+
+
+class TestRecordLifetime:
+    """A scenario holds at most one record while it integrates: no
+    trajectory it got from simulate is alive when the next run samples its
+    drive, which happens after a resumed run has copied its prefix."""
+
+    @pytest.fixture
+    def alive(self, monkeypatch):
+        """(trajectories simulate returned, how many of them were alive at
+        each PulseTrain.sample call)."""
+        refs, counts = [], []
+        simulate_, sample = experiments.simulate, PulseTrain.sample
+
+        def recording(*args, **kwargs):
+            traj = simulate_(*args, **kwargs)
+            refs.append(weakref.ref(traj))
+            return traj
+
+        def counting(train, t):
+            counts.append(sum(ref() is not None for ref in refs))
+            return sample(train, t)
+
+        monkeypatch.setattr(experiments, "simulate", recording)
+        monkeypatch.setattr(PulseTrain, "sample", counting)
+        return refs, counts
+
+    # each case with its simulate calls: the sweep's second point resumes
+    # from its first, the Gaussian map points settle at their first tails,
+    # and the detuned map point (flat-top, 2 uA, 20 GHz, at 1.087 f_p)
+    # extends its tail once, resuming from its first horizon
+    CASES = {
+        "single_fluxon": (lambda: experiments.run_single_fluxon(
+            (0.2, 0.3), n_tail_periods=20), 2),
+        "bandwidth_sweep": (lambda: experiments.run_bandwidth_sweep((3, 6)), 2),
+        "efficiency_map": (lambda: experiments.run_efficiency_map(
+            (2e-6, 3e-6), (2 * math.pi * 20e9,), "gaussian"), 2),
+        "settle_extension": (lambda: experiments.run_flat_top(
+            **experiments._map_run(2e-6, 2 * math.pi * 20e9, experiments.MAP_ALPHA_IN,
+                                   experiments.MAP_DAMPING_QUALITY,
+                                   solver.DEFAULT_DT_DIVISOR),
+            spacing_multiple=1 / 1.087), 2),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_no_record_alive_while_the_next_run_samples(self, alive, case):
+        run, calls = self.CASES[case]
+        run()
+        refs, counts = alive
+        assert len(refs) == calls
+        assert counts == [0] * calls
+
+    def test_cli_run_drops_the_record_before_writing(self, tmp_path, monkeypatch):
+        remembered = []
+        write = experiments.ScenarioReport.write_outputs
+
+        def writing(report, outdir):
+            remembered.append(solver._last)
+            return write(report, outdir)
+
+        monkeypatch.setattr(experiments.ScenarioReport, "write_outputs", writing)
+        config = tmp_path / "fluxon.ini"
+        config.write_text("[scenario]\nid = single_fluxon\nalpha_out_grid = 0.2\n"
+                          "n_tail_periods = 20\n")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert remembered == [None]
+
+    def test_library_calls_keep_resuming(self, spy, recorded):
+        experiments.run_flat_top(n_pairs=3)
+        experiments.run_flat_top(n_pairs=6)
+        ends = [traj.times.size - 1 for _, _, traj in recorded]
+        assert len(ends) == 2
+        assert 0 < spy.starts[1] < ends[0]
+        assert spy.starts[0] == 0
+        assert spy.steps == ends[0] + ends[1] - spy.starts[1]
 
 
 def test_threads_racing_on_the_memo_get_cold_results():
