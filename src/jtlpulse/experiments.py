@@ -276,9 +276,9 @@ def _arguments(fn, *args, **kwargs) -> dict:
 def _checked_by(check):
     """Decorator: ``check`` is the runner's input check, applied to its
     arguments before anything else runs: by the runner itself, ``locals()``
-    as its first statement, or by run_fluxoid_train for the train runners
-    that hand it theirs.  ``runner.check(*args, **kwargs)`` applies it alone
-    to a call's ``_arguments``, as validate does."""
+    as its first statement, or by run_flat_top for run_gaussian, which hands
+    it its arguments.  ``runner.check(*args, **kwargs)`` applies it alone to
+    a call's ``_arguments``, as validate does."""
 
     def register(runner):
         runner.check = lambda *args, **kw: check(_arguments(runner, *args, **kw))
@@ -289,12 +289,12 @@ def _checked_by(check):
 
 def _check_train(a: dict) -> tuple:
     """Refuse the arguments ``a`` of a train runner, the ``kwargs`` that
-    run_flat_top and run_gaussian hand on to run_fluxoid_train included;
-    returns the point (config, circuit, train, t_end, dt) every train
-    measurement takes: the run's config, then the arguments of its first
-    ``simulate`` call, which runs TAIL_PERIODS plasma periods past the drive."""
+    run_gaussian hands on to run_flat_top included; returns the point
+    (config, circuit, train, t_end, dt) every train measurement takes: the
+    run's config, then the arguments of its first ``simulate`` call, which
+    runs TAIL_PERIODS plasma periods past the drive."""
     own = {k: v for k, v in a.items() if k != "kwargs"}
-    t = _arguments(run_fluxoid_train, **own, **a.get("kwargs", {}))
+    t = _arguments(run_flat_top, **own, **a.get("kwargs", {}))
     check_overrides(t)
     try:
         if operator.index(t["n_pairs"]) < 1:
@@ -363,10 +363,11 @@ def _check_train(a: dict) -> tuple:
     return config, circuit, train, t_end, dt
 
 
-def run_fluxoid_train(
-    i_c: float,
-    omega_p: float,
-    n_pairs: int,
+@_checked_by(_check_train)
+def run_flat_top(
+    i_c: float = 4e-6,
+    omega_p: float = 2.0 * math.pi * 19.617e9,
+    n_pairs: int = 50,
     shape: str = "flat_top",
     *,
     lambda_j: float = 3.17,
@@ -385,6 +386,8 @@ def run_fluxoid_train(
 ) -> RunResult:
     """One fluxoid-pair-train run: check, build and settle, then measure
     spectrum and power, the one spectrum at the signal band (``_band_stride``).
+    Each point of the other train scenarios is a call of this runner; by
+    default the train is flat-top, uniform pi extrema, half-area end pulses.
 
     ``n_pairs`` pulse pairs means 2 n_pairs alternating pulses compiled from
     2 n_pairs - 1 phase extrema, so the train is balanced.  The sech time
@@ -413,18 +416,6 @@ def _measure_train(config: dict, *run) -> RunResult:
                      power=power, spectrum=spectrum)
 
 
-@_checked_by(_check_train)
-def run_flat_top(
-    i_c: float = 4e-6,
-    omega_p: float = 2.0 * math.pi * 19.617e9,
-    n_pairs: int = 50,
-    shape: str = "flat_top",
-    **kwargs,
-) -> RunResult:
-    """Flat-top train: uniform pi extrema, half-area end pulses."""
-    return run_fluxoid_train(i_c, omega_p, n_pairs, shape, **kwargs)
-
-
 # Gaussian drive conventions.  The reference states neither the envelope's
 # peak flux nor the Gaussian device's input termination; the performance
 # table pins only the product alpha_in * theta_peak^2 (through the input
@@ -448,8 +439,8 @@ def run_gaussian(
     **kwargs,
 ) -> RunResult:
     """Gaussian train: fluxoid amplitudes tracing a Gaussian envelope."""
-    return run_fluxoid_train(i_c, omega_p, n_pairs, shape, lambda_j=lambda_j,
-                             alpha_in=alpha_in, theta_peak=theta_peak, **kwargs)
+    return run_flat_top(i_c, omega_p, n_pairs, shape, lambda_j=lambda_j,
+                        alpha_in=alpha_in, theta_peak=theta_peak, **kwargs)
 
 
 def _check_single_fluxon(a: dict) -> list[tuple]:
@@ -627,7 +618,7 @@ def _map_run(
 
 def _map_point(config: dict, *run) -> float:
     """eta = e_out / e_in of the checked map point (config, *run), by
-    run_fluxoid_train's calls, so bit for bit its ``.eta``.  The map keeps
+    the train runner's calls, so bit for bit its ``.eta``.  The map keeps
     nothing else of a point, so it takes no spectrum."""
     traj, e_in = _simulate_settled(*run)
     return forward_energy(traj.v_nodeN, traj.i_out, traj.circuit.z_out,
@@ -759,13 +750,14 @@ SCENARIO_IDS = tuple(SCENARIOS)
 def scenario_parameters(scenario: str) -> dict[str, object]:
     """Parameter name -> type annotation of a scenario's runner.
 
-    A runner taking ``**kwargs`` hands them on to run_fluxoid_train, so it
-    also takes that function's keyword-only parameters.
+    A runner taking ``**kwargs`` (run_gaussian, run_bandwidth_sweep) hands
+    them on to run_flat_top, so it also takes that runner's keyword-only
+    parameters.
     """
     sig = _signature(SCENARIOS[scenario], eval_str=True)
     params = {}
     if any(p.kind is p.VAR_KEYWORD for p in sig.parameters.values()):
-        train = _signature(run_fluxoid_train, eval_str=True)
+        train = _signature(run_flat_top, eval_str=True)
         params = {name: p.annotation for name, p in train.parameters.items()
                   if p.kind is p.KEYWORD_ONLY}
     params.update({name: p.annotation for name, p in sig.parameters.items()
@@ -774,13 +766,13 @@ def scenario_parameters(scenario: str) -> dict[str, object]:
 
 
 def check_overrides(overrides: dict) -> None:
-    """Refuse the run setting every scenario shares: a dt_divisor below
-    MIN_DT_DIVISOR or above MAX_RECORD_STEPS (a single plasma period would
-    take more steps than a record may hold).  The divisor is compared as
-    given, before any float arithmetic on it, so an integer no float can
-    hold is refused here too."""
+    """Refuse the run setting every scenario shares: a dt_divisor that is
+    not at least MIN_DT_DIVISOR (NaN included) or is above MAX_RECORD_STEPS
+    (a single plasma period would take more steps than a record may hold).
+    The divisor is compared as given, before any float arithmetic on it, so
+    an integer no float can hold is refused here too."""
     divisor = overrides.get("dt_divisor", MIN_DT_DIVISOR)
-    if divisor < MIN_DT_DIVISOR:
+    if not divisor >= MIN_DT_DIVISOR:
         raise ScenarioError(f"dt_divisor must be >= {MIN_DT_DIVISOR}, got {divisor!r}")
     if divisor > MAX_RECORD_STEPS:
         raise ScenarioError(f"dt_divisor must be <= {MAX_RECORD_STEPS}, got {divisor!r}")

@@ -244,26 +244,24 @@ def forget_last_run() -> None:
 
 def _shared_columns(
     last: tuple | None, circuit: CircuitParams, dt: float, loop,
-    drive: PulseTrain | None, n_steps: int,
+    drive: PulseTrain, n_steps: int,
 ) -> int:
     """The last column s of the remembered run ``last`` that a run of
     ``n_steps`` on these inputs reproduces bit for bit; 0 when none past the
     start.
 
-    The runs must share circuit, dt and loop, and both be undriven or both
-    driven.  Column s depends on the drive samples 0..2 s alone, so s is the
-    largest column whose samples the two drives give equal values on.
+    The runs must share circuit, dt and loop.  Column s depends on the drive
+    samples 0..2 s alone, so s is the largest column whose samples the two
+    drives give equal values on: an undriven run (the empty train) and a
+    driven one share the columns before the first pulse window's start.
     """
     if last is None:
         return 0
     l_circuit, l_dt, l_loop, l_drive, traj = last
-    if (l_loop is not loop or l_dt != dt or l_circuit != circuit
-            or (l_drive is None) != (drive is None)):
+    if l_loop is not loop or l_dt != dt or l_circuit != circuit:
         return 0
     common = min(traj.times.size - 1, n_steps)
-    equal = 2 * common + 1
-    if drive is not None:
-        equal = l_drive.shared_samples(drive, 0.5 * dt * np.arange(equal))
+    equal = l_drive.shared_samples(drive, 0.5 * dt * np.arange(2 * common + 1))
     return max(0, (equal - 1) // 2)
 
 
@@ -278,11 +276,11 @@ def simulate(
     """Integrate the lattice under ``drive`` from t = 0 to (at least) t_end.
 
     ``drive`` is the incident wave on the input line, sampled on the RK4
-    half-step grid and doubled into the port's Thevenin EMF; None leaves the
-    port undriven.  t_end must be finite and positive, and exceed the
-    drive's duration.  Cell 1 ends in z_in and cell N in z_out: an infinite
-    termination is an open end, which no drive reaches, and r_n = inf a
-    lossless junction.
+    half-step grid and doubled into the port's Thevenin EMF; None is the
+    empty train, ``PulseTrain((), 0.0)``, which leaves the port undriven.
+    t_end must be finite and positive, and exceed the drive's duration.
+    Cell 1 ends in z_in and cell N in z_out: an infinite termination is an
+    open end, which no drive reaches, and r_n = inf a lossless junction.
 
     dt defaults to a DEFAULT_DT_DIVISOR-th of the plasma period and must be
     positive and at most a MIN_DT_DIVISOR-th of it.  The voltages start at
@@ -305,6 +303,8 @@ def simulate(
     ``_rk4_numpy``, the reference.  Both give bit-identical trajectories.
     """
     global _last
+    if drive is None:
+        drive = PulseTrain(pulses=(), duration=0.0)
     derived = derive(circuit)
     t_plasma = 2.0 * math.pi / derived.omega_p
     if dt is None:
@@ -316,7 +316,7 @@ def simulate(
         )
     if not 0.0 < t_end < math.inf:
         raise SolverError(f"t_end = {t_end!r} s is not finite and positive")
-    if drive is not None and t_end <= drive.duration:
+    if t_end <= drive.duration:
         raise SolverError(
             f"t_end = {t_end:.3e} s does not cover the drive duration "
             f"{drive.duration:.3e} s"
@@ -351,12 +351,9 @@ def simulate(
     # Drive samples on the half-step grid shared by the RK4 stages, from
     # the first step still to take.
     half_t = 0.5 * dt * np.arange(2 * s, 2 * n_steps + 1)
-    if drive is None:
-        v_drive = np.zeros(half_t.size)
-    else:
-        # incident wave -> Thevenin open-circuit voltage of the input line
-        v_drive = drive.sample(half_t)
-        v_drive *= 2.0
+    # incident wave -> Thevenin open-circuit voltage of the input line
+    v_drive = drive.sample(half_t)
+    v_drive *= 2.0
     del half_t
     v_source[s:] = v_drive[::2]
 
@@ -380,7 +377,7 @@ def simulate(
         v_source=v_source,
         circuit=circuit,
         derived=derived,
-        drive_end=0.0 if drive is None else drive.duration,
+        drive_end=drive.duration,
     )
     if initial_phi is None:
         _last = (circuit, dt, loop, drive, traj)

@@ -596,10 +596,11 @@ class TestGridChecks:
         for scenario, runner in experiments.SCENARIOS.items():
             assert callable(getattr(runner, "check", None)), scenario
 
-    @pytest.mark.parametrize("divisor", [50, 10**400], ids=["50", "400_digits"])
+    @pytest.mark.parametrize("divisor", [50, 10**400, math.nan],
+                             ids=["50", "400_digits", "nan"])
     @pytest.mark.parametrize("run", [
-        pytest.param(lambda d: experiments.run_fluxoid_train(
-            4e-6, 2 * math.pi * 20e9, 2, dt_divisor=d), id="run_fluxoid_train"),
+        pytest.param(lambda d: run_flat_top(4e-6, 2 * math.pi * 20e9, 2, dt_divisor=d),
+                     id="run_flat_top_positional"),
         pytest.param(lambda d: run_flat_top(n_pairs=2, dt_divisor=d), id="run_flat_top"),
         pytest.param(lambda d: run_gaussian(n_pairs=2, dt_divisor=d), id="run_gaussian"),
         pytest.param(lambda d: run_bandwidth_sweep([2], dt_divisor=d),

@@ -167,6 +167,8 @@ class TestHitsAndMisses:
         elif change == "dt":
             kwargs = {"dt": _dt(c) * 0.75}
         elif change == "undriven":
+            # the base train's first window opens at -1.8e-11 s, so it and
+            # the empty train share no column
             second = (c, None, self.T_END)
         elif change == "driven":
             first = (c, None, self.T_END)
@@ -183,6 +185,28 @@ class TestHitsAndMisses:
             traj = simulate(*second, **kwargs)
             assert spy.starts == [0, 0]
         _assert_same_records(traj, _cold(*second, **kwargs))
+
+    def test_undriven_run_shares_the_columns_before_the_first_window(self, spy):
+        # the empty train samples zeros, as a train does before its first
+        # pulse window opens, here at 7.2e-11 s
+        c = _circuit()
+        train = _train([(1.5e-10, 1.0, 3e-12), (2.5e-10, -1.0, 3e-12)])
+        undriven = simulate(c, None, self.T_END)
+        traj = simulate(c, train, self.T_END)
+        grid = 0.5 * _dt(c) * np.arange(2 * (undriven.times.size - 1) + 1)
+        shared = PulseTrain(pulses=(), duration=0.0).shared_samples(train, grid)
+        assert spy.starts == [0, (shared - 1) // 2]
+        assert spy.starts[1] > 0
+        _assert_same_records(traj, _cold(c, train, self.T_END))
+
+    @pytest.mark.parametrize("seeded", [False, True], ids=["zero", "seeded"])
+    def test_none_is_the_empty_train(self, spy, seeded):
+        c = _circuit()
+        kwargs = {"initial_phi": np.full(c.n_jtl, 0.1)} if seeded else {}
+        none = _cold(c, None, self.T_END, **kwargs)
+        empty = _cold(c, PulseTrain(pulses=(), duration=0.0), self.T_END, **kwargs)
+        _assert_same_records(none, empty)
+        assert none.drive_end == empty.drive_end == 0.0
 
     def test_seeded_run_is_not_remembered(self, spy, base):
         c, train = base
