@@ -600,7 +600,7 @@ class TestGridChecks:
                              ids=["50", "400_digits", "nan"])
     @pytest.mark.parametrize("run", [
         pytest.param(lambda d: run_flat_top(4e-6, 2 * math.pi * 20e9, 2, dt_divisor=d),
-                     id="run_flat_top_positional"),
+                     id="flat_top_pos"),
         pytest.param(lambda d: run_flat_top(n_pairs=2, dt_divisor=d), id="run_flat_top"),
         pytest.param(lambda d: run_gaussian(n_pairs=2, dt_divisor=d), id="run_gaussian"),
         pytest.param(lambda d: run_bandwidth_sweep([2], dt_divisor=d),
